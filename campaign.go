@@ -303,7 +303,9 @@ func DeriveSeed(base uint64, replicate int) uint64 {
 // Engine runs simulation campaigns across a worker pool with memoised
 // results. The zero value is not usable; use NewEngine or Default. An
 // Engine is safe for concurrent use — overlapping campaigns share the
-// cache and never simulate the same canonical Point twice at once.
+// cache and never simulate the same canonical Point twice at once. A
+// campaign whose every point is cached is answered in one pass over
+// the cache, without starting workers.
 type Engine struct {
 	runner *campaign.Runner[Point, *Result]
 }

@@ -340,37 +340,24 @@ func table1Instance(scale float64, seed uint64) *expInstance {
 		points[i] = NewPoint(name, scale, seed, Options{Policy: "static"})
 	}
 	x := &expInstance{points: points, results: make([]*Result, len(points))}
-	row := func(i int) (Table1Row, error) {
+	rows := make([]Table1Row, len(names))
+	x.emit = func(i int) ([]any, error) {
 		w, err := NewWorkload(names[i], scale, seed)
 		if err != nil {
-			return Table1Row{}, err
+			return nil, err
 		}
 		res := x.results[i]
-		return Table1Row{
+		rows[i] = Table1Row{
 			ID: names[i], Name: w.Name(), Jobs: w.Jobs(),
 			Nodes: w.Nodes(), Cores: w.Cores(), MaxJobNodes: w.MaxJobNodes(),
 			AvgResponse: res.AvgResponse, AvgSlowdown: res.AvgSlowdown,
 			Makespan: res.Makespan,
-		}, nil
-	}
-	x.emit = func(i int) ([]any, error) {
-		t, err := row(i)
-		if err != nil {
-			return nil, err
 		}
-		return []any{t}, nil
+		return []any{rows[i]}, nil
 	}
-	x.summary = func() (any, error) {
-		rows := make([]Table1Row, 0, len(names))
-		for i := range names {
-			t, err := row(i)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, t)
-		}
-		return rows, nil
-	}
+	// Summary runs only once every position has folded, so each row
+	// was built exactly once, by emit.
+	x.summary = func() (any, error) { return rows, nil }
 	return x
 }
 

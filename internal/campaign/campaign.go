@@ -15,7 +15,9 @@
 //   - Memoisation: results are cached in a bounded LRU keyed by the
 //     task key, and duplicate keys — within one Run, across Runs, or
 //     concurrently in-flight from different Runs — execute the task
-//     function exactly once (singleflight).
+//     function exactly once (singleflight) while the result stays
+//     cached. A Run whose keys are all cached costs one locked pass
+//     over the cache and starts no goroutines.
 //
 //   - Cancellation: Run honours context cancellation between tasks and
 //     propagates the first task error, cancelling the remaining work.
@@ -200,6 +202,11 @@ func (r *Runner[K, R]) Run(ctx context.Context, keys []K) ([]R, error) {
 // returning. A consumer that stops draining updates must cancel ctx:
 // sends block (applying backpressure to the workers) until either the
 // consumer receives or the context ends.
+//
+// A batch whose every key is cached is served by one batch probe of
+// the cache, without workers: results are filled inline, updates go
+// out key by key in order of first position, and the counters move
+// exactly as the worker path's would (one hit per distinct key).
 func (r *Runner[K, R]) RunStream(ctx context.Context, keys []K, updates chan<- Update[K, R]) ([]R, error) {
 	if updates != nil {
 		defer close(updates)
@@ -207,7 +214,24 @@ func (r *Runner[K, R]) RunStream(ctx context.Context, keys []K, updates chan<- U
 	if len(keys) == 0 {
 		return nil, ctx.Err()
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	results := make([]R, len(keys))
+	var next []int
+	if updates != nil {
+		next = make([]int, len(keys))
+	}
+	if distinct, ok := r.cache.GetAll(keys, results, next); ok {
+		return r.replay(ctx, keys, results, next, distinct, updates)
+	}
+	return r.dispatch(ctx, keys, results, updates)
+}
+
+// dispatch resolves a batch the cache does not hold whole: unique keys
+// are sharded across worker goroutines, which fill results and stream
+// each key's positions as it resolves.
+func (r *Runner[K, R]) dispatch(ctx context.Context, keys []K, results []R, updates chan<- Update[K, R]) ([]R, error) {
 	unique := make([]K, 0, len(keys))
 	where := make(map[K][]int, len(keys))
 	for i, k := range keys {
@@ -259,22 +283,11 @@ func (r *Runner[K, R]) RunStream(ctx context.Context, keys []K, updates chan<- U
 				r.notify(done, total)
 				mu.Unlock()
 				// Stream outside mu so one slow consumer stalls only
-				// this worker, not the whole pool. The non-blocking
-				// attempt first means a completed result is never
-				// raced out by a simultaneously-cancelled ctx as long
-				// as the channel has buffer room — consumers that
-				// drain after cancelling (serve shutdown) rely on it.
+				// this worker, not the whole pool.
 				if updates != nil {
 					for _, i := range where[k] {
-						u := Update[K, R]{Index: i, Key: k, Value: val}
-						select {
-						case updates <- u:
-						default:
-							select {
-							case updates <- u:
-							case <-ctx.Done():
-								return
-							}
+						if !send(ctx, updates, Update[K, R]{Index: i, Key: k, Value: val}) {
+							return
 						}
 					}
 				}
@@ -297,6 +310,48 @@ func (r *Runner[K, R]) RunStream(ctx context.Context, keys []K, updates chan<- U
 		return nil, fmt.Errorf("campaign: only %d of %d keys resolved — non-self-equal key (NaN float field)?", done, total)
 	}
 	return results, nil
+}
+
+// replay completes a batch whose every key the cache held (GetAll
+// already filled results), without workers: it counts one hit per
+// distinct key, reports progress, and streams each key's positions
+// together in ascending index order, keys ordered by first position.
+// next is GetAll's duplicate linkage (nil when not streaming); replay
+// consumes it, marking sent positions -2.
+func (r *Runner[K, R]) replay(ctx context.Context, keys []K, results []R, next []int, distinct int, updates chan<- Update[K, R]) ([]R, error) {
+	r.hits.Add(uint64(distinct))
+	mCacheHits.Add(uint64(distinct))
+	r.notify(len(keys), len(keys))
+	for i := range next {
+		for j := i; j >= 0 && next[j] != -2; {
+			if !send(ctx, updates, Update[K, R]{Index: j, Key: keys[j], Value: results[j]}) {
+				return nil, ctx.Err()
+			}
+			nj := next[j]
+			next[j] = -2
+			j = nj
+		}
+	}
+	return results, nil
+}
+
+// send delivers u, reporting false if ctx ended first. The
+// non-blocking attempt first means a completed result is never raced
+// out by a simultaneously-cancelled ctx as long as the channel has
+// buffer room — consumers that drain after cancelling (serve shutdown)
+// rely on it.
+func send[K comparable, R any](ctx context.Context, updates chan<- Update[K, R], u Update[K, R]) bool {
+	select {
+	case updates <- u:
+		return true
+	default:
+	}
+	select {
+	case updates <- u:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 // resolve returns the result for one key: from the cache, by joining an
@@ -327,6 +382,17 @@ func (r *Runner[K, R]) resolve(ctx context.Context, k K) (R, error) {
 				var zero R
 				return zero, ctx.Err()
 			}
+		}
+		// An owner publishes its result to the cache before leaving
+		// the in-flight table, so a key that missed above may have
+		// landed since: re-check under mu before executing it again.
+		// Peek counts nothing — the Get above already counted this
+		// resolution's LRU miss.
+		if v, ok := r.cache.Peek(k); ok {
+			r.mu.Unlock()
+			r.hits.Add(1)
+			mCacheHits.Inc()
+			return v, nil
 		}
 		c := &call[R]{done: make(chan struct{})}
 		r.inflight[k] = c

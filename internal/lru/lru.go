@@ -27,6 +27,10 @@ var (
 type entry[K comparable, V any] struct {
 	key K
 	val V
+	// batch and last are GetAll's scratch: the batch that last saw
+	// this entry, and the position where that batch last saw it.
+	batch uint64
+	last  int
 }
 
 // Cache is a fixed-capacity LRU map. A nil *Cache is a valid, always
@@ -37,6 +41,7 @@ type Cache[K comparable, V any] struct {
 	cap   int
 	order *list.List // front = most recently used
 	items map[K]*list.Element
+	batch uint64 // GetAll calls that hit, for duplicate detection
 }
 
 // New returns a cache holding at most capacity entries. It panics on a
@@ -69,6 +74,65 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	mHits.Inc()
 	c.order.MoveToFront(el)
 	return el.Value.(*entry[K, V]).val, true
+}
+
+// GetAll looks up a whole batch under one lock. When every key is
+// present it sets vals[i] to the value of keys[i], marks the entries
+// most recently used in input order, counts one hit per distinct key,
+// and returns the number of distinct keys with ok true. When next is
+// non-nil it also links the positions that share a key: next[i] is the
+// next position j > i with keys[j] == keys[i], or -1. vals (and next,
+// when non-nil) must be at least len(keys) long.
+//
+// When any key is missing GetAll returns ok false and touches nothing:
+// recency is unchanged and no hit or miss is counted. vals and next
+// then hold unspecified values.
+func (c *Cache[K, V]) GetAll(keys []K, vals []V, next []int) (distinct int, ok bool) {
+	if c == nil {
+		return 0, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, k := range keys {
+		if _, ok := c.items[k]; !ok {
+			return 0, false
+		}
+	}
+	c.batch++
+	for i, k := range keys {
+		el := c.items[k]
+		e := el.Value.(*entry[K, V])
+		vals[i] = e.val
+		if next != nil {
+			next[i] = -1
+		}
+		if e.batch != c.batch {
+			e.batch = c.batch
+			distinct++
+			c.order.MoveToFront(el)
+		} else if next != nil {
+			next[e.last] = i
+		}
+		e.last = i
+	}
+	mHits.Add(uint64(distinct))
+	return distinct, true
+}
+
+// Peek returns the cached value without counting a hit or miss and
+// without changing recency.
+func (c *Cache[K, V]) Peek(key K) (V, bool) {
+	if c == nil {
+		var zero V
+		return zero, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		return el.Value.(*entry[K, V]).val, true
+	}
+	var zero V
+	return zero, false
 }
 
 // Add inserts or refreshes the entry, evicting the least recently used

@@ -121,3 +121,88 @@ func TestSnapshotOrderAndRestore(t *testing.T) {
 		t.Fatal("nil cache snapshot not empty")
 	}
 }
+
+// order returns the cache's keys, least recently used first.
+func order(c *Cache[string, int]) []string {
+	keys, _ := c.Snapshot()
+	return keys
+}
+
+func equal(a, b []string) bool { return fmt.Sprint(a) == fmt.Sprint(b) }
+
+func TestGetAllHit(t *testing.T) {
+	c := New[string, int](4)
+	c.Add("a", 1)
+	c.Add("b", 2)
+	c.Add("c", 3)
+	hits := mHits.Value()
+	keys := []string{"b", "a", "b", "b", "a"}
+	vals := make([]int, len(keys))
+	next := make([]int, len(keys))
+	distinct, ok := c.GetAll(keys, vals, next)
+	if !ok || distinct != 2 {
+		t.Fatalf("GetAll = %d, %v, want 2, true", distinct, ok)
+	}
+	if fmt.Sprint(vals) != "[2 1 2 2 1]" {
+		t.Fatalf("vals %v", vals)
+	}
+	// next links each position to the next one holding the same key.
+	if fmt.Sprint(next) != "[2 4 3 -1 -1]" {
+		t.Fatalf("next %v, want [2 4 3 -1 -1]", next)
+	}
+	if d := mHits.Value() - hits; d != 2 {
+		t.Fatalf("GetAll counted %d hits, want one per distinct key (2)", d)
+	}
+	// Entries are touched in input order: b, then a is most recent.
+	if got := order(c); !equal(got, []string{"c", "b", "a"}) {
+		t.Fatalf("recency %v, want [c b a]", got)
+	}
+	// A second batch over the same entries detects duplicates afresh.
+	if distinct, ok := c.GetAll([]string{"c", "a", "c"}, vals, nil); !ok || distinct != 2 {
+		t.Fatalf("second GetAll = %d, %v, want 2, true", distinct, ok)
+	}
+}
+
+func TestGetAllMissTouchesNothing(t *testing.T) {
+	c := New[string, int](4)
+	c.Add("a", 1)
+	c.Add("b", 2)
+	hits, misses := mHits.Value(), mMisses.Value()
+	keys := []string{"b", "x", "a"}
+	if _, ok := c.GetAll(keys, make([]int, len(keys)), make([]int, len(keys))); ok {
+		t.Fatal("GetAll reported a hit for a batch with a missing key")
+	}
+	if mHits.Value() != hits || mMisses.Value() != misses {
+		t.Fatal("a missed GetAll moved the hit/miss counters")
+	}
+	if got := order(c); !equal(got, []string{"a", "b"}) {
+		t.Fatalf("a missed GetAll changed recency: %v", got)
+	}
+	var nilCache *Cache[string, int]
+	if _, ok := nilCache.GetAll([]string{"a"}, make([]int, 1), nil); ok {
+		t.Fatal("nil cache GetAll hit")
+	}
+}
+
+func TestPeekCountsAndTouchesNothing(t *testing.T) {
+	c := New[string, int](4)
+	c.Add("a", 1)
+	c.Add("b", 2)
+	hits, misses := mHits.Value(), mMisses.Value()
+	if v, ok := c.Peek("a"); !ok || v != 1 {
+		t.Fatalf("Peek(a) = %v, %v", v, ok)
+	}
+	if _, ok := c.Peek("x"); ok {
+		t.Fatal("Peek(x) hit")
+	}
+	if mHits.Value() != hits || mMisses.Value() != misses {
+		t.Fatal("Peek moved the hit/miss counters")
+	}
+	if got := order(c); !equal(got, []string{"a", "b"}) {
+		t.Fatalf("Peek changed recency: %v", got)
+	}
+	var nilCache *Cache[string, int]
+	if _, ok := nilCache.Peek("a"); ok {
+		t.Fatal("nil cache Peek hit")
+	}
+}

@@ -30,15 +30,22 @@ type Spec struct {
 	// (heterogeneous machines); the simulator applies them before
 	// scheduling starts.
 	NodeFeatures map[int][]string
+	// MaxJobNodes is the largest node request in Jobs, recorded by
+	// Validate. No derivation changes node requests, so a derived
+	// Spec inherits its base's value.
+	MaxJobNodes int
 }
 
 // Validate reports the first structural problem: invalid job records,
-// submissions out of order, or jobs larger than the machine.
+// submissions out of order, or jobs larger than the machine. On
+// success it records the largest node request in MaxJobNodes, so every
+// built and validated Spec answers that inventory query in O(1).
 func (s *Spec) Validate() error {
 	if err := s.Cluster.Validate(); err != nil {
 		return err
 	}
 	var prev int64
+	maxNodes := 0
 	for i := range s.Jobs {
 		j := &s.Jobs[i]
 		if err := j.Validate(); err != nil {
@@ -52,12 +59,14 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("workload %s: job %d requests %d of %d nodes",
 				s.Name, j.ID, j.ReqNodes, s.Cluster.Nodes)
 		}
+		maxNodes = max(maxNodes, j.ReqNodes)
 	}
 	for nd := range s.NodeFeatures {
 		if nd < 0 || nd >= s.Cluster.Nodes {
 			return fmt.Errorf("workload %s: features on unknown node %d", s.Name, nd)
 		}
 	}
+	s.MaxJobNodes = maxNodes
 	return nil
 }
 

@@ -251,17 +251,9 @@ func (w Workload) Nodes() int { return w.base().Cluster.Nodes }
 // Cores returns the machine's total core count.
 func (w Workload) Cores() int { return w.base().Cluster.TotalCores() }
 
-// MaxJobNodes returns the largest node request in the stream.
-func (w Workload) MaxJobNodes() int {
-	m := 0
-	spec := w.base()
-	for i := range spec.Jobs {
-		if spec.Jobs[i].ReqNodes > m {
-			m = spec.Jobs[i].ReqNodes
-		}
-	}
-	return m
-}
+// MaxJobNodes returns the largest node request in the stream
+// (invariant under derivations), recorded when the base was built.
+func (w Workload) MaxJobNodes() int { return w.base().MaxJobNodes }
 
 // SetMalleableFraction re-flags the given fraction of jobs as malleable
 // and the rest rigid (mixed-workload experiments). It records a
