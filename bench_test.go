@@ -310,3 +310,40 @@ func BenchmarkSimKernel(b *testing.B) {
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
+
+// BenchmarkSimKernelSmall times the fresh points a served fleet
+// simulates on demand: small presets at scale 0.05 under static
+// backfill and MAXSD 10. One op is the whole 32-run mix, so allocs/op
+// is allocations per 32 simulations.
+func BenchmarkSimKernelSmall(b *testing.B) {
+	var specs []*workload.Spec
+	for _, name := range []string{"wl1", "wl2", "wl3", "wl5"} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			spec, err := workload.Shared.Get(name, 0.05, seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			specs = append(specs, spec)
+		}
+	}
+	static := sched.Defaults()
+	sd := sched.Defaults()
+	sd.Policy = sched.SDPolicy
+	sd.MaxSlowdown = 10
+	cfgs := []sched.Config{static, sd}
+	ctx := context.Background()
+	var events uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, spec := range specs {
+			for _, cfg := range cfgs {
+				res, err := sched.RunContext(ctx, *spec, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				events += res.Events
+			}
+		}
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+}

@@ -237,7 +237,7 @@ func (c *Cluster) AllocateFreeWith(id job.ID, n int, req []string) ([]int, error
 		return nil, fmt.Errorf("cluster: non-positive node request %d", n)
 	}
 	// Collect matching free nodes first so failure leaks no state.
-	var matching []int
+	matching := make([]int, 0, n)
 	for i := len(c.freeList) - 1; i >= 0 && len(matching) < n; i-- {
 		nd := c.freeList[i]
 		if len(req) == 0 || c.nodes[nd].hasFeatures(req) {

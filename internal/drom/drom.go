@@ -34,12 +34,7 @@ func NewMask(n int) Mask {
 // RangeMask returns a mask over n cores with cores [lo, hi) set.
 func RangeMask(n, lo, hi int) Mask {
 	m := NewMask(n)
-	if lo < 0 || hi > n || lo > hi {
-		panic(fmt.Sprintf("drom: core range [%d,%d) out of [0,%d)", lo, hi, n))
-	}
-	for c := lo; c < hi; c++ {
-		m.Set(c)
-	}
+	m.SetRange(lo, hi)
 	return m
 }
 
@@ -52,6 +47,17 @@ func (m Mask) Set(c int) {
 		panic(fmt.Sprintf("drom: core %d out of [0,%d)", c, m.n))
 	}
 	m.bits[c/64] |= 1 << (c % 64)
+}
+
+// SetRange makes the mask exactly cores [lo, hi), in place.
+func (m Mask) SetRange(lo, hi int) {
+	if lo < 0 || hi > m.n || lo > hi {
+		panic(fmt.Sprintf("drom: core range [%d,%d) out of [0,%d)", lo, hi, m.n))
+	}
+	clear(m.bits)
+	for c := lo; c < hi; c++ {
+		m.bits[c/64] |= 1 << (c % 64)
+	}
 }
 
 // Has reports whether core c is owned.
@@ -86,6 +92,18 @@ func (m Mask) Clone() Mask {
 	c := Mask{bits: make([]uint64, len(m.bits)), n: m.n}
 	copy(c.bits, m.bits)
 	return c
+}
+
+// copyInto copies m into dst, reusing dst's storage when it is wide
+// enough, and returns the copy.
+func (m Mask) copyInto(dst Mask) Mask {
+	if cap(dst.bits) < len(m.bits) {
+		dst.bits = make([]uint64, len(m.bits))
+	}
+	dst.bits = dst.bits[:len(m.bits)]
+	copy(dst.bits, m.bits)
+	dst.n = m.n
+	return dst
 }
 
 // String renders the mask as core ranges, e.g. "0-23,32".
@@ -126,12 +144,23 @@ type Stats struct {
 	MaskSets   int64 // affinity changes on running processes
 }
 
+// entry is one registered process: the job and its CPU mask on the node.
+type entry struct {
+	id   job.ID
+	mask Mask
+}
+
 // Registry is the DROM space of a whole machine: per node, the set of
 // registered processes and their disjoint CPU masks.
+//
+// Each node's processes live in a slice indexed by node. Cleaned entries
+// keep their mask storage beyond the slice's length, and Register and
+// SetMask copy the caller's mask into that storage, so a steady-state
+// simulation registers and reconfigures without allocating.
 type Registry struct {
 	coresPerNode int
 	overhead     int64 // seconds charged per mask change
-	nodes        map[int]map[job.ID]Mask
+	nodes        [][]entry
 	stats        Stats
 }
 
@@ -144,11 +173,7 @@ func NewRegistry(coresPerNode int, overhead int64) *Registry {
 	if overhead < 0 {
 		panic(fmt.Sprintf("drom: negative overhead %d", overhead))
 	}
-	return &Registry{
-		coresPerNode: coresPerNode,
-		overhead:     overhead,
-		nodes:        make(map[int]map[job.ID]Mask),
-	}
+	return &Registry{coresPerNode: coresPerNode, overhead: overhead}
 }
 
 // Overhead returns the per-operation reconfiguration cost in seconds.
@@ -157,110 +182,150 @@ func (r *Registry) Overhead() int64 { return r.overhead }
 // Stats returns a snapshot of the traffic counters.
 func (r *Registry) Stats() Stats { return r.stats }
 
-// Register attaches a process of the job to the node with the given mask.
-// Masks of processes sharing a node must be disjoint.
-func (r *Registry) Register(node int, id job.ID, m Mask) error {
+// procs returns the node's registered processes (nil for a node never
+// used).
+func (r *Registry) procs(node int) []entry {
+	if node < 0 || node >= len(r.nodes) {
+		return nil
+	}
+	return r.nodes[node]
+}
+
+// find returns the index of the job's entry on the node, or -1.
+func (r *Registry) find(node int, id job.ID) int {
+	for i, e := range r.procs(node) {
+		if e.id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkMask validates a mask the job wants to hold on the node: right
+// width, non-empty, disjoint from every other process's mask.
+func (r *Registry) checkMask(node int, id job.ID, m Mask) error {
 	if m.Width() != r.coresPerNode {
 		return fmt.Errorf("drom: mask width %d, node width %d", m.Width(), r.coresPerNode)
 	}
 	if m.Count() == 0 {
 		return fmt.Errorf("drom: empty mask for job %d on node %d", id, node)
 	}
-	procs := r.nodes[node]
-	if procs == nil {
-		procs = make(map[job.ID]Mask)
-		r.nodes[node] = procs
-	}
-	if _, dup := procs[id]; dup {
-		return fmt.Errorf("drom: job %d already registered on node %d", id, node)
-	}
-	for other, om := range procs {
-		if m.Overlaps(om) {
+	for _, e := range r.procs(node) {
+		if e.id != id && m.Overlaps(e.mask) {
 			return fmt.Errorf("drom: job %d mask %s overlaps job %d mask %s on node %d",
-				id, m, other, om, node)
+				id, m, e.id, e.mask, node)
 		}
 	}
-	procs[id] = m.Clone()
+	return nil
+}
+
+// Register attaches a process of the job to the node with the given mask.
+// Masks of processes sharing a node must be disjoint. The registry keeps
+// a copy of m.
+func (r *Registry) Register(node int, id job.ID, m Mask) error {
+	if node < 0 {
+		return fmt.Errorf("drom: negative node %d", node)
+	}
+	if r.find(node, id) >= 0 {
+		return fmt.Errorf("drom: job %d already registered on node %d", id, node)
+	}
+	if err := r.checkMask(node, id, m); err != nil {
+		return err
+	}
+	if node >= len(r.nodes) {
+		r.nodes = append(r.nodes, make([][]entry, node+1-len(r.nodes))...)
+	}
+	procs := r.nodes[node]
+	n := len(procs)
+	if n < cap(procs) {
+		procs = procs[:n+1] // reuse a cleaned entry's mask storage
+	} else {
+		procs = append(procs, entry{})
+	}
+	procs[n] = entry{id: id, mask: m.copyInto(procs[n].mask)}
+	r.nodes[node] = procs
 	r.stats.Registered++
 	return nil
 }
 
 // Procs returns the jobs registered on the node, unordered.
 func (r *Registry) Procs(node int) []job.ID {
-	procs := r.nodes[node]
+	procs := r.procs(node)
 	out := make([]job.ID, 0, len(procs))
-	for id := range procs {
-		out = append(out, id)
+	for _, e := range procs {
+		out = append(out, e.id)
 	}
 	return out
 }
 
-// GetMask returns the current mask of the job on the node.
+// GetMask returns a copy of the current mask of the job on the node.
 func (r *Registry) GetMask(node int, id job.ID) (Mask, bool) {
-	m, ok := r.nodes[node][id]
-	if !ok {
+	i := r.find(node, id)
+	if i < 0 {
 		return Mask{}, false
 	}
-	return m.Clone(), true
+	return r.nodes[node][i].mask.Clone(), true
 }
 
 // SetMask changes the affinity of a registered process — the shrink or
-// expand operation applied at the job's next malleability point. It
-// returns the simulated overhead to charge.
+// expand operation applied at the job's next malleability point. The
+// registry keeps a copy of m. It returns the simulated overhead to
+// charge.
 func (r *Registry) SetMask(node int, id job.ID, m Mask) (int64, error) {
-	procs := r.nodes[node]
-	if _, ok := procs[id]; !ok {
+	i := r.find(node, id)
+	if i < 0 {
 		return 0, fmt.Errorf("drom: job %d not registered on node %d", id, node)
 	}
-	if m.Width() != r.coresPerNode {
-		return 0, fmt.Errorf("drom: mask width %d, node width %d", m.Width(), r.coresPerNode)
+	if err := r.checkMask(node, id, m); err != nil {
+		return 0, err
 	}
-	if m.Count() == 0 {
-		return 0, fmt.Errorf("drom: empty mask for job %d on node %d", id, node)
-	}
-	for other, om := range procs {
-		if other != id && m.Overlaps(om) {
-			return 0, fmt.Errorf("drom: job %d mask %s overlaps job %d mask %s on node %d",
-				id, m, other, om, node)
-		}
-	}
-	procs[id] = m.Clone()
+	e := &r.nodes[node][i]
+	e.mask = m.copyInto(e.mask)
 	r.stats.MaskSets++
 	return r.overhead, nil
 }
 
 // Clean detaches the job's process from the node (end of job step).
 func (r *Registry) Clean(node int, id job.ID) error {
-	procs := r.nodes[node]
-	if _, ok := procs[id]; !ok {
+	i := r.find(node, id)
+	if i < 0 {
 		return fmt.Errorf("drom: job %d not registered on node %d", id, node)
 	}
-	delete(procs, id)
-	if len(procs) == 0 {
-		delete(r.nodes, node)
-	}
+	procs := r.nodes[node]
+	last := len(procs) - 1
+	// Swap rather than overwrite, so the cleaned entry's mask storage
+	// stays in the slice's spare capacity for the next Register.
+	procs[i], procs[last] = procs[last], procs[i]
+	r.nodes[node] = procs[:last]
 	r.stats.Cleaned++
 	return nil
 }
 
 // CheckInvariants verifies that every node's masks are pairwise disjoint
-// and non-empty. Tests call it after random operation sequences.
+// and non-empty, that no job is registered twice on a node, and that the
+// registered processes number Registered - Cleaned. Tests call it after
+// random operation sequences, and every simulation run calls it at the
+// end.
 func (r *Registry) CheckInvariants() error {
+	live := int64(0)
 	for node, procs := range r.nodes {
-		ids := make([]job.ID, 0, len(procs))
-		for id := range procs {
-			ids = append(ids, id)
-		}
-		for i, a := range ids {
-			if procs[a].Count() == 0 {
-				return fmt.Errorf("node %d: empty mask for job %d", node, a)
+		live += int64(len(procs))
+		for i, a := range procs {
+			if a.mask.Count() == 0 {
+				return fmt.Errorf("node %d: empty mask for job %d", node, a.id)
 			}
-			for _, b := range ids[i+1:] {
-				if procs[a].Overlaps(procs[b]) {
-					return fmt.Errorf("node %d: jobs %d and %d overlap", node, a, b)
+			for _, b := range procs[i+1:] {
+				if a.id == b.id {
+					return fmt.Errorf("node %d: job %d registered twice", node, a.id)
+				}
+				if a.mask.Overlaps(b.mask) {
+					return fmt.Errorf("node %d: jobs %d and %d overlap", node, a.id, b.id)
 				}
 			}
 		}
+	}
+	if want := r.stats.Registered - r.stats.Cleaned; live != want {
+		return fmt.Errorf("%d processes registered, counters say %d", live, want)
 	}
 	return nil
 }

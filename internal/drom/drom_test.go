@@ -242,3 +242,86 @@ func TestPropertyRegistryInvariants(t *testing.T) {
 		}
 	}
 }
+
+// The registry keeps copies: changing a mask after Register, SetMask or
+// GetMask leaves the registered mask unchanged.
+func TestRegistryCopiesMasks(t *testing.T) {
+	r := NewRegistry(48, 0)
+	m := RangeMask(48, 0, 24)
+	if err := r.Register(0, 1, m); err != nil {
+		t.Fatal(err)
+	}
+	m.Set(30)
+	if got, _ := r.GetMask(0, 1); got.Count() != 24 || got.Has(30) {
+		t.Fatalf("Register aliased the caller's mask: %v", got)
+	}
+	if err := r.Register(0, 2, RangeMask(48, 24, 48)); err != nil {
+		t.Fatalf("caller's later change leaked into the registry: %v", err)
+	}
+	if err := r.Clean(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	s := RangeMask(48, 0, 12)
+	if _, err := r.SetMask(0, 1, s); err != nil {
+		t.Fatal(err)
+	}
+	s.SetRange(0, 48)
+	got, _ := r.GetMask(0, 1)
+	if got.Count() != 12 {
+		t.Fatalf("SetMask aliased the caller's mask: %v", got)
+	}
+	got.Set(40)
+	if again, _ := r.GetMask(0, 1); again.Has(40) {
+		t.Fatal("GetMask returned the registry's own storage")
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Storage a cleaned process leaves behind is reused by the next Register
+// on the node; the new mask must carry none of the old job's bits, in
+// any word of a multi-word mask.
+func TestRegistryReusedStorageNoLeak(t *testing.T) {
+	r := NewRegistry(128, 0)
+	for _, id := range []job.ID{1, 2, 3} {
+		lo := int(id-1) * 40
+		if err := r.Register(5, id, RangeMask(128, lo, lo+40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Clean the middle process and then the first: the survivor must
+	// keep its mask through the reordering.
+	for _, id := range []job.ID{2, 1} {
+		if err := r.Clean(5, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m, ok := r.GetMask(5, 3); !ok || m.Count() != 40 || !m.Has(80) || !m.Has(119) {
+		t.Fatalf("survivor mask %v ok=%v", m, ok)
+	}
+	if err := r.Register(5, 4, RangeMask(128, 120, 128)); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := r.GetMask(5, 4)
+	if m.Count() != 8 || m.String() != "120-127" {
+		t.Fatalf("reused storage leaked old bits: %v", m)
+	}
+	if err := r.Register(5, 6, RangeMask(128, 0, 80)); err != nil {
+		t.Fatalf("stale bits blocked a disjoint registration: %v", err)
+	}
+	if m, _ := r.GetMask(5, 6); m.String() != "0-79" {
+		t.Fatalf("reused storage leaked old bits: %v", m)
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []job.ID{3, 4, 6} {
+		if err := r.Clean(5, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := r.Stats(); s.Registered != s.Cleaned || len(r.Procs(5)) != 0 {
+		t.Fatalf("registry not empty: %+v, procs %v", s, r.Procs(5))
+	}
+}

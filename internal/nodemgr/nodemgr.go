@@ -27,11 +27,19 @@ type Manager struct {
 	// precomputed split for the default owner+guest sharing
 	ownerKeep int
 	guestGet  int
+	// Masks of the three fixed layouts: a whole node, a shrunk owner's
+	// cores and a guest's cores. The registry copies what it is given,
+	// so one instance of each serves every node.
+	fullMask  drom.Mask
+	keepMask  drom.Mask
+	guestMask drom.Mask
 	// scratch reused across Finish calls (a Manager is single-threaded,
-	// driven by one event loop)
-	restBuf []cluster.Alloc
-	expBuf  []int
-	affBuf  []job.ID
+	// driven by one event loop); relayMask holds one relayout mask at a
+	// time.
+	relayMask drom.Mask
+	restBuf   []cluster.Alloc
+	expBuf    []int
+	affBuf    []job.ID
 }
 
 // New returns a manager applying the given SharingFactor, the fraction of
@@ -43,7 +51,14 @@ func New(cl *cluster.Cluster, reg *drom.Registry, sharingFactor float64) *Manage
 	}
 	cfg := cl.Config()
 	keep, give := splitCores(cfg, sharingFactor)
-	return &Manager{cl: cl, reg: reg, sf: sharingFactor, ownerKeep: keep, guestGet: give}
+	full := cfg.CoresPerNode()
+	return &Manager{
+		cl: cl, reg: reg, sf: sharingFactor, ownerKeep: keep, guestGet: give,
+		fullMask:  drom.RangeMask(full, 0, full),
+		keepMask:  drom.RangeMask(full, 0, keep),
+		guestMask: drom.RangeMask(full, keep, full),
+		relayMask: drom.NewMask(full),
+	}
 }
 
 // splitCores computes how a node divides between a shrunk owner and a
@@ -94,9 +109,8 @@ func (m *Manager) PlaceOwnerWith(id job.ID, n int, features []string) ([]int, er
 	if err != nil {
 		return nil, err
 	}
-	full := m.cl.Config().CoresPerNode()
 	for _, nd := range nodes {
-		if err := m.reg.Register(nd, id, drom.RangeMask(full, 0, full)); err != nil {
+		if err := m.reg.Register(nd, id, m.fullMask); err != nil {
 			panic(fmt.Sprintf("nodemgr: register owner: %v", err))
 		}
 	}
@@ -126,13 +140,13 @@ func (m *Manager) StartGuest(guest job.ID, mates []Mate) int64 {
 					mate.ID, got, nd, full))
 			}
 			m.cl.SetCores(nd, mate.ID, m.ownerKeep)
-			oh, err := m.reg.SetMask(nd, mate.ID, drom.RangeMask(full, 0, m.ownerKeep))
+			oh, err := m.reg.SetMask(nd, mate.ID, m.keepMask)
 			if err != nil {
 				panic(fmt.Sprintf("nodemgr: shrink mate: %v", err))
 			}
 			overhead += oh
 			m.cl.PlaceGuest(guest, nd, m.guestGet)
-			if err := m.reg.Register(nd, guest, drom.RangeMask(full, m.ownerKeep, full)); err != nil {
+			if err := m.reg.Register(nd, guest, m.guestMask); err != nil {
 				panic(fmt.Sprintf("nodemgr: register guest: %v", err))
 			}
 		}
@@ -201,7 +215,8 @@ func (m *Manager) Finish(id job.ID, nodes []int, canExpand func(job.ID) bool) (a
 		// Reassign contiguous masks in the deterministic order.
 		at := 0
 		for _, a := range rest {
-			oh, err := m.reg.SetMask(nd, a.Job, drom.RangeMask(full, at, at+a.Cores))
+			m.relayMask.SetRange(at, at+a.Cores)
+			oh, err := m.reg.SetMask(nd, a.Job, m.relayMask)
 			if err != nil {
 				panic(fmt.Sprintf("nodemgr: relayout: %v", err))
 			}
@@ -224,7 +239,7 @@ func (m *Manager) ExpandToFull(id job.ID, nodes []int) int64 {
 	var overhead int64
 	for _, nd := range nodes {
 		m.cl.SetCores(nd, id, full)
-		oh, err := m.reg.SetMask(nd, id, drom.RangeMask(full, 0, full))
+		oh, err := m.reg.SetMask(nd, id, m.fullMask)
 		if err != nil {
 			panic(fmt.Sprintf("nodemgr: expand: %v", err))
 		}

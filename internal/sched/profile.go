@@ -31,31 +31,43 @@ func newProfile(now int64, totalNodes, freeNodes int, releases []int64) *profile
 	return p
 }
 
-// init (re)builds the profile in place, reusing the breakpoint arrays —
-// the scheduler keeps two profile values alive for the whole run and
-// re-inits them every pass instead of allocating. releases is sorted in
-// place: the caller passes scratch it owns.
+// init (re)builds the profile in place from unsorted per-node release
+// times. releases is sorted in place: the caller passes scratch it owns.
 func (p *profile) init(now int64, totalNodes, freeNodes int, releases []int64) {
-	p.totalNodes, p.now, p.availNow = totalNodes, now, freeNodes
-	p.times, p.deltas = p.times[:0], p.deltas[:0]
-	if len(releases) == 0 {
-		return
-	}
+	p.reset(now, totalNodes, freeNodes)
 	slices.Sort(releases)
 	for _, t := range releases {
-		if t <= now {
-			// A predicted end in the past (job overran its request and
-			// prediction): treat as releasing immediately after now.
-			t = now + 1
-		}
-		n := len(p.times)
-		if n > 0 && p.times[n-1] == t {
-			p.deltas[n-1]++
-		} else {
-			p.times = append(p.times, t)
-			p.deltas = append(p.deltas, 1)
-		}
+		p.release(t, 1)
 	}
+}
+
+// reset empties the profile to "freeNodes free now, nothing scheduled",
+// reusing the breakpoint arrays — the scheduler keeps two profile values
+// alive for the whole run and refills them every pass instead of
+// allocating.
+func (p *profile) reset(now int64, totalNodes, freeNodes int) {
+	p.totalNodes, p.now, p.availNow = totalNodes, now, freeNodes
+	p.times, p.deltas = p.times[:0], p.deltas[:0]
+}
+
+// release records that n busy nodes are predicted to become free at t.
+// Calls must come in non-decreasing t order.
+func (p *profile) release(t int64, n int) {
+	if t <= p.now {
+		// A predicted end in the past (job overran its request and
+		// prediction): treat as releasing immediately after now.
+		t = p.now + 1
+	}
+	k := len(p.times)
+	if k > 0 && p.times[k-1] >= t {
+		if p.times[k-1] > t {
+			panic(fmt.Sprintf("sched: release at %d after one at %d", t, p.times[k-1]))
+		}
+		p.deltas[k-1] += n
+		return
+	}
+	p.times = append(p.times, t)
+	p.deltas = append(p.deltas, n)
 }
 
 // earliestStart returns the first time >= now at which `nodes` nodes are

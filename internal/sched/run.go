@@ -84,6 +84,13 @@ func RunContext(ctx context.Context, spec workload.Spec, cfg Config) (*Result, e
 	if err := s.cl.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("sched: cluster state corrupt after run: %v", err)
 	}
+	if err := s.reg.CheckInvariants(); err != nil {
+		return nil, fmt.Errorf("sched: DROM registry corrupt after run: %v", err)
+	}
+	if st := s.reg.Stats(); st.Registered != st.Cleaned {
+		return nil, fmt.Errorf("sched: DROM registry holds %d processes after run",
+			st.Registered-st.Cleaned)
+	}
 	rep := metrics.Report{Results: s.results}
 	if err := rep.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: inconsistent results: %v", err)

@@ -25,11 +25,11 @@ type rjob struct {
 	start int64
 	// prog tracks true progress (ActualTime of work) under the
 	// configured runtime model: it drives the real completion event.
-	prog *model.Progress
+	prog model.Progress
 	// pred tracks requested-time progress under the worst-case model:
 	// it drives every scheduler prediction (Section 3.4: "in the
 	// SD-Policy case, we use the worst case model").
-	pred   *model.Progress
+	pred   model.Progress
 	endEv  sim.Event
 	runIdx int // position in Scheduler.runList
 	// predicted-end memo: predEnd is pure in (pred state, now), so one
@@ -38,6 +38,12 @@ type rjob struct {
 	// the memo was taken at; SetRate invalidates it.
 	peAt  int64
 	peVal int64
+	// relT and relN are this job's entry in the aggregate profile as of
+	// the last build: relN nodes predicted free at relT. See
+	// buildProfile.
+	relT int64
+	relN int
+	done bool // finished; still in Scheduler.byRelease until the next build
 	// allFull mirrors "every node share equals the full core count",
 	// refreshed by setRates — shares never change without a rate
 	// refresh, so the flag is exact. It replaces the per-candidate
@@ -88,8 +94,15 @@ type Scheduler struct {
 	// Order is begin-order with swap-removal on finish; every consumer
 	// is order-independent (max/sort/total-order reductions).
 	runList []*rjob
-	results []metrics.JobResult
-	meter   *energy.Meter
+	// byRelease holds the running jobs in the order of their release
+	// times at the last profile build, plus jobs begun since (appended)
+	// and jobs finished since (marked done). Only the order persists
+	// across timestamps: buildProfile recomputes every release, drops
+	// the finished jobs and restores the order with one insertion-sort
+	// sweep, which is linear when few releases changed rank.
+	byRelease []*rjob
+	results   []metrics.JobResult
+	meter     *energy.Meter
 
 	passPending bool
 	passFn      func()  // cached method value, scheduled by requestPass
@@ -100,15 +113,16 @@ type Scheduler struct {
 	passes     uint64
 
 	// Scratch reused across passes. relBuf holds the per-node latest
-	// predicted release time; relAt/relDirty implement its incremental
-	// maintenance: it is recomputed only when the clock moved or an
-	// allocation/rate changed since it was last built, so the feature
-	// profile of the same pass reuses it for free.
+	// predicted release time for feature-constrained estimates;
+	// relAt/relDirty implement its incremental maintenance: it is
+	// recomputed only when the clock moved or an allocation/rate changed
+	// since it was last built, so every feature job of a pass shares one
+	// build.
 	relBuf   []int64
 	relAt    int64
 	relDirty bool
 
-	relsBuf   []int64   // compacted releases for the pass profile
+	rjobs     []rjob    // unused records of the current chunk, see newRjob
 	frelsBuf  []int64   // feature-filtered releases
 	sdsBuf    []float64 // dynamic-cutoff slowdown samples
 	sharesBuf []int     // per-node shares for rate refreshes
@@ -167,8 +181,8 @@ func (s *Scheduler) Submit(j *job.Job) error {
 		return fmt.Errorf("sched: job %d requires features %v on %d nodes, machine has %d",
 			j.ID, j.Features, j.ReqNodes, n)
 	}
+	r := s.newRjob(j)
 	s.eng.Schedule(j.Submit, sim.PriSubmit, func() {
-		r := &rjob{j: j}
 		if s.cfg.RuntimeModel == model.App {
 			if s.cfg.Speedups != nil {
 				r.speedup = s.cfg.Speedups(j.App)
@@ -181,6 +195,21 @@ func (s *Scheduler) Submit(j *job.Job) error {
 		s.requestPass()
 	})
 	return nil
+}
+
+// rjobChunk is how many rjobs newRjob carves from one allocation.
+const rjobChunk = 64
+
+// newRjob returns a fresh rjob for the job, carved from a chunk so a
+// run allocates its job records rjobChunk at a time.
+func (s *Scheduler) newRjob(j *job.Job) *rjob {
+	if len(s.rjobs) == 0 {
+		s.rjobs = make([]rjob, rjobChunk)
+	}
+	r := &s.rjobs[0]
+	s.rjobs = s.rjobs[1:]
+	r.j = j
+	return r
 }
 
 // requestPass coalesces scheduling passes: at most one per timestamp,
@@ -247,8 +276,8 @@ func (s *Scheduler) begin(r *rjob, malleable bool) {
 	now := s.eng.Now()
 	r.start = now
 	r.mallStart = malleable
-	r.prog = model.NewProgress(now, float64(r.j.ActualTime))
-	r.pred = model.NewProgress(now, float64(r.j.ReqTime))
+	r.prog = *model.NewProgress(now, float64(r.j.ActualTime))
+	r.pred = *model.NewProgress(now, float64(r.j.ReqTime))
 	rem := s.setRates(r, now)
 	if rem == math.MaxInt64 {
 		panic(fmt.Sprintf("sched: job %d starts starved", r.j.ID))
@@ -257,6 +286,7 @@ func (s *Scheduler) begin(r *rjob, malleable bool) {
 	s.running[r.j.ID] = r
 	r.runIdx = len(s.runList)
 	s.runList = append(s.runList, r)
+	s.byRelease = append(s.byRelease, r)
 	if malleable {
 		s.mallStarts++
 	}
@@ -277,6 +307,7 @@ func (s *Scheduler) finish(r *rjob) {
 	moved.runIdx = r.runIdx
 	s.runList[last] = nil
 	s.runList = s.runList[:last]
+	r.done = true // buildProfile drops it from byRelease
 	s.relDirty = true
 
 	// Listing 3's end path: clean DROM state, release the nodes, let the
@@ -320,16 +351,21 @@ func (s *Scheduler) finish(r *rjob) {
 	s.requestPass()
 }
 
-// pass is one scheduling pass: the static conservative-backfill loop
-// with, under SDPolicy, the malleable trial of Listing 1 after each
-// failed static trial.
+// pass is one scheduling pass. Passes that cannot start a job end
+// after being counted; the rest run the backfill walk.
 func (s *Scheduler) pass() {
 	s.passPending = false
 	s.passes++
-	if len(s.queue) == 0 {
+	if len(s.queue) == 0 || s.noStaticFit() {
 		return
 	}
-	now := s.eng.Now()
+	s.backfill(s.eng.Now())
+}
+
+// backfill is the static conservative-backfill loop with, under
+// SDPolicy, the malleable trial of Listing 1 after each failed static
+// trial.
+func (s *Scheduler) backfill(now int64) {
 	if s.cfg.Cutoff != CutoffStatic {
 		s.maxSD = s.dynamicCutoff(now)
 	}
@@ -376,6 +412,26 @@ func (s *Scheduler) pass() {
 		s.queue[i] = nil
 	}
 	s.queue = kept
+}
+
+// noStaticFit reports a pass that cannot start a job: under static
+// backfill a job starts only on free nodes, so when no job in the
+// backfill window requests at most FreeNodes() the pass starts nothing
+// and its reservations are thrown away. Skipping it changes no decision.
+func (s *Scheduler) noStaticFit() bool {
+	if s.cfg.Policy != StaticBackfill {
+		return false
+	}
+	free := s.cl.FreeNodes()
+	for qi, r := range s.queue {
+		if qi == s.cfg.BackfillDepth {
+			break
+		}
+		if r.j.ReqNodes <= free {
+			return false
+		}
+	}
+	return true
 }
 
 // startStatic places the job on free nodes now and charges the profile.
@@ -436,7 +492,7 @@ func (s *Scheduler) startMalleable(r *rjob, sel *mateSelection, mallRun int64) {
 	}
 	s.matesBuf = mates[:0]
 	s.mgr.StartGuest(r.j.ID, mates)
-	r.nodes = r.nodes[:0]
+	r.nodes = make([]int, 0, r.j.ReqNodes)
 	for _, m := range sel.mates {
 		r.nodes = append(r.nodes, m.nodes...)
 	}
@@ -459,6 +515,7 @@ func (s *Scheduler) startMalleable(r *rjob, sel *mateSelection, mallRun int64) {
 	if s.cfg.Policy == Oversubscribe {
 		keepRate *= 1 - s.cfg.OversubPenalty
 	}
+	r.hosts = make([]*rjob, 0, len(sel.mates))
 	for _, m := range sel.mates {
 		m.guest = r
 		m.everMate = true
@@ -474,10 +531,10 @@ func (s *Scheduler) startMalleable(r *rjob, sel *mateSelection, mallRun int64) {
 }
 
 // nodeReleases returns the per-node latest predicted release time
-// (shared nodes collapse to their latest resident). The array is
-// rebuilt only when the dirty flag says a rate or allocation changed,
-// or the clock moved, since the last build — so the feature profiles
-// of a pass reuse the build done for the aggregate profile.
+// (shared nodes collapse to their latest resident), for the
+// feature-constrained estimates. The array is rebuilt only when the
+// dirty flag says a rate or allocation changed, or the clock moved,
+// since the last build — so the feature jobs of a pass share one build.
 func (s *Scheduler) nodeReleases(now int64) []int64 {
 	nodes := s.cl.Config().Nodes
 	if cap(s.relBuf) < nodes {
@@ -520,20 +577,50 @@ func (s *Scheduler) featureEarliestStart(r *rjob, now int64) int64 {
 	return s.fprof.earliestStart(r.j.ReqNodes, r.j.ReqTime)
 }
 
-// buildProfile constructs the availability step function from per-node
-// predicted release times (shared nodes release at the latest resident's
-// predicted end).
+// buildProfile constructs the availability step function from the
+// running jobs' predicted ends. Each job contributes the nodes it
+// releases: a mate its whole allocation at the later of its own and its
+// guest's predicted end (the guest shares those nodes), a guest only the
+// nodes no mate hosts it on, anyone else its whole allocation. That is
+// the per-node "latest resident" release, grouped by job. Release values
+// are recomputed at every timestamp through the predEnd memo; only the
+// order of byRelease carries over, so one insertion-sort sweep, which
+// also compacts out finished jobs, hands the profile its releases in
+// time order.
 func (s *Scheduler) buildProfile(now int64) *profile {
-	nodes := s.cl.Config().Nodes
-	rel := s.nodeReleases(now)
-	rels := s.relsBuf[:0]
-	for _, t := range rel {
-		if t > 0 {
-			rels = append(rels, t)
+	list := s.byRelease
+	k := 0 // list[:k] holds the running jobs swept so far, sorted
+	for _, r := range list {
+		if r.done {
+			continue
+		}
+		t := s.predEndOf(r, now)
+		if r.guest != nil {
+			if gt := s.predEndOf(r.guest, now); gt > t {
+				t = gt
+			}
+		}
+		n := len(r.nodes)
+		for _, h := range r.hosts {
+			n -= len(h.nodes)
+		}
+		r.relT, r.relN = t, n
+		j := k
+		for ; j > 0 && list[j-1].relT > t; j-- {
+			list[j] = list[j-1]
+		}
+		list[j] = r
+		k++
+	}
+	clear(list[k:])
+	list = list[:k]
+	s.byRelease = list
+	s.prof.reset(now, s.cl.Config().Nodes, s.cl.FreeNodes())
+	for _, r := range list {
+		if r.relN > 0 {
+			s.prof.release(r.relT, r.relN)
 		}
 	}
-	s.relsBuf = rels
-	s.prof.init(now, nodes, s.cl.FreeNodes(), rels)
 	return &s.prof
 }
 
