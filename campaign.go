@@ -447,6 +447,30 @@ func (e *Engine) RunStream(ctx context.Context, points []Point, updates chan<- P
 	return results, err
 }
 
+// Lookup serves what it can of a campaign from the engine's result
+// cache alone, probing every point under one lock and simulating
+// nothing: results[i] is the cached result for points[i], or nil when
+// the cache does not hold it. Points are validated and canonicalised as
+// Run would, so any spelling of a cached point is served. Each distinct
+// point served counts one hit in CacheStats, exactly as Run would count
+// it; the rest count nothing, since nothing runs. With withReports a
+// cached result that lacks its per-job report (a wire result primed
+// with Prime alone) is not served. The coordinator answers its own hits
+// through Lookup and fans out only the rest.
+func (e *Engine) Lookup(points []Point, withReports bool) ([]*Result, error) {
+	keys, err := canonicalKeys(points)
+	if err != nil {
+		return nil, err
+	}
+	var keep func(*Result) bool
+	if withReports {
+		keep = (*Result).hasReport
+	}
+	results := make([]*Result, len(points))
+	e.runner.Lookup(keys, results, make([]bool, len(points)), keep)
+	return results, nil
+}
+
 // SimulatePoint resolves one point through the engine's cache.
 func (e *Engine) SimulatePoint(ctx context.Context, p Point) (*Result, error) {
 	res, err := e.Run(ctx, []Point{p})

@@ -57,7 +57,8 @@
 //
 // -peers http://w1:8080,http://w2:8080 (or -coordinator with no static
 // peers at all) turns the instance into a campaign coordinator:
-// /v1/campaign requests are planned into -shards-per-worker
+// /v1/campaign points its own result cache holds are served locally,
+// and only the misses are planned into -shards-per-worker
 // deterministic shards per fleet member, handed out work-stealing
 // style to the worker fleet over the same streaming wire form, and
 // re-merged byte-identically to a single-process run. The fleet is
@@ -71,8 +72,10 @@
 //     fleet can grow and shrink without restarting the coordinator; a
 //     worker joining mid-campaign steals queued shards immediately.
 //   - With -cache-dir the coordinator negotiates per-job report frames
-//     from its workers and spills every proxied result on shutdown, so
-//     the spill warms later local sdexp runs (fig4-9 analyses too).
+//     from its workers and primes its cache with every proxied result,
+//     so later campaigns over those points are served locally, and the
+//     spill on shutdown warms later local sdexp runs (fig4-9 analyses
+//     too).
 //
 // /v1/simulate and /v1/sweep keep running on the local engine;
 // /healthz reports per-peer fleet state (alive|dead|probing,

@@ -174,6 +174,48 @@ func (r *Runner[K, R]) CachePrime(keys []K, vals []R) {
 	}
 }
 
+// Lookup serves what it can of a batch from the cache alone, under one
+// lock and without executing anything: found[i] reports whether keys[i]
+// was served, and vals[i] then holds its result. keep, when non-nil,
+// declines cached results it rejects — a declined key is reported not
+// found, with its vals slot zeroed — and runs outside the cache lock.
+// Every distinct key served counts one hit in Stats and
+// campaign_cache_hits_total, as Run would count it; keys not served
+// count nothing here, since nothing executes. It returns the number of
+// distinct keys served. vals and found must be at least len(keys) long.
+func (r *Runner[K, R]) Lookup(keys []K, vals []R, found []bool, keep func(R) bool) int {
+	var next []int
+	if keep != nil {
+		next = make([]int, len(keys))
+	}
+	distinct, _ := r.cache.GetAll(keys, vals, next, found)
+	if keep != nil {
+		// Judge each distinct key once, at its first position, and
+		// apply the verdict along GetAll's duplicate linkage, marking
+		// visited positions -2 as replay does.
+		distinct = 0
+		var zero R
+		for i := range keys {
+			if !found[i] || next[i] == -2 {
+				continue
+			}
+			kept := keep(vals[i])
+			if kept {
+				distinct++
+			}
+			for j := i; j >= 0; {
+				if !kept {
+					found[j], vals[j] = false, zero
+				}
+				j, next[j] = next[j], -2
+			}
+		}
+	}
+	r.hits.Add(uint64(distinct))
+	mCacheHits.Add(uint64(distinct))
+	return distinct
+}
+
 // Update is one incremental result delivery from RunStream: the result
 // for input position Index, whose key was Key (keys[Index] == Key).
 // Duplicate positions of one key are delivered together, in ascending
@@ -222,7 +264,7 @@ func (r *Runner[K, R]) RunStream(ctx context.Context, keys []K, updates chan<- U
 	if updates != nil {
 		next = make([]int, len(keys))
 	}
-	if distinct, ok := r.cache.GetAll(keys, results, next); ok {
+	if distinct, ok := r.cache.GetAll(keys, results, next, nil); ok {
 		return r.replay(ctx, keys, results, next, distinct, updates)
 	}
 	return r.dispatch(ctx, keys, results, updates)

@@ -228,3 +228,47 @@ func TestConcurrentRunsExecuteEachKeyOnce(t *testing.T) {
 		t.Fatalf("%d executions for %d distinct keys", n, want)
 	}
 }
+
+// TestLookupServesHitsOnly: a partial probe serves the cached keys of a
+// mixed batch, executes nothing, and counts one hit per distinct key
+// served; a key keep declines is reported missing and not counted.
+func TestLookupServesHitsOnly(t *testing.T) {
+	keys := []int{3, 7, 4, 3, 8, 4, 3} // 3 and 4 cached, 7 and 8 not
+	var execs atomic.Int64
+	r := warmRunner(t, &execs, []int{3, 4})
+	vals := make([]int, len(keys))
+	found := make([]bool, len(keys))
+
+	before := snapshot(r)
+	if n := r.Lookup(keys, vals, found, nil); n != 2 {
+		t.Fatalf("Lookup served %d distinct keys, want 2", n)
+	}
+	if d := snapshot(r).sub(before); d != (counts{hits: 2, campHits: 2, lruHits: 2, lruMisses: 2}) {
+		t.Fatalf("Lookup deltas %+v, want 2 hits and one LRU miss per missing position", d)
+	}
+	for i, k := range keys {
+		if hit := k == 3 || k == 4; found[i] != hit || (hit && vals[i] != k*k) {
+			t.Fatalf("position %d (key %d): found %v, val %d", i, k, found[i], vals[i])
+		}
+	}
+
+	before = snapshot(r)
+	if n := r.Lookup(keys, vals, found, func(v int) bool { return v != 9 }); n != 1 {
+		t.Fatalf("Lookup with keep served %d distinct keys, want 1", n)
+	}
+	if d := snapshot(r).sub(before); d.hits != 1 || d.campHits != 1 {
+		t.Fatalf("declined key counted: deltas %+v", d)
+	}
+	for i, k := range keys {
+		hit, want := k == 4, 0 // a declined slot is zeroed
+		if hit {
+			want = k * k
+		}
+		if found[i] != hit || vals[i] != want {
+			t.Fatalf("position %d (key %d) after keep: found %v, val %d", i, k, found[i], vals[i])
+		}
+	}
+	if n := execs.Load(); n != 2 {
+		t.Fatalf("Lookup executed tasks: %d executions, want the 2 from warming", n)
+	}
+}

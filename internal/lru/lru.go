@@ -41,7 +41,7 @@ type Cache[K comparable, V any] struct {
 	cap   int
 	order *list.List // front = most recently used
 	items map[K]*list.Element
-	batch uint64 // GetAll calls that hit, for duplicate detection
+	batch uint64 // GetAll calls that touched entries, for duplicate detection
 }
 
 // New returns a cache holding at most capacity entries. It panics on a
@@ -76,31 +76,48 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	return el.Value.(*entry[K, V]).val, true
 }
 
-// GetAll looks up a whole batch under one lock. When every key is
-// present it sets vals[i] to the value of keys[i], marks the entries
+// GetAll looks up a whole batch under one lock. It sets vals[i] to
+// the value of every key keys[i] the cache holds, marks those entries
 // most recently used in input order, counts one hit per distinct key,
-// and returns the number of distinct keys with ok true. When next is
+// and returns the number of distinct keys that hit. When next is
 // non-nil it also links the positions that share a key: next[i] is the
-// next position j > i with keys[j] == keys[i], or -1. vals (and next,
-// when non-nil) must be at least len(keys) long.
+// next position j > i with keys[j] == keys[i], or -1.
 //
-// When any key is missing GetAll returns ok false and touches nothing:
-// recency is unchanged and no hit or miss is counted. vals and next
-// then hold unspecified values.
-func (c *Cache[K, V]) GetAll(keys []K, vals []V, next []int) (distinct int, ok bool) {
+// found selects the mode. With found nil the probe is all or nothing:
+// when any key is missing GetAll returns ok false and touches nothing,
+// so recency is unchanged, no hit or miss is counted, and vals and next
+// hold unspecified values. With found non-nil the probe is partial:
+// found[i] reports whether keys[i] hit, every missing position counts
+// one miss, and ok reports whether every key hit; vals[i] and next[i]
+// are meaningful only where found[i] is true. vals, and next and found
+// when non-nil, must be at least len(keys) long.
+func (c *Cache[K, V]) GetAll(keys []K, vals []V, next []int, found []bool) (distinct int, ok bool) {
 	if c == nil {
+		if found != nil {
+			clear(found[:len(keys)])
+		}
 		return 0, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, k := range keys {
-		if _, ok := c.items[k]; !ok {
-			return 0, false
+	if found == nil {
+		for _, k := range keys {
+			if _, ok := c.items[k]; !ok {
+				return 0, false
+			}
 		}
 	}
 	c.batch++
+	misses := 0
 	for i, k := range keys {
-		el := c.items[k]
+		el, hit := c.items[k]
+		if found != nil {
+			found[i] = hit
+		}
+		if !hit {
+			misses++
+			continue
+		}
 		e := el.Value.(*entry[K, V])
 		vals[i] = e.val
 		if next != nil {
@@ -116,7 +133,10 @@ func (c *Cache[K, V]) GetAll(keys []K, vals []V, next []int) (distinct int, ok b
 		e.last = i
 	}
 	mHits.Add(uint64(distinct))
-	return distinct, true
+	if misses > 0 {
+		mMisses.Add(uint64(misses))
+	}
+	return distinct, misses == 0
 }
 
 // Peek returns the cached value without counting a hit or miss and

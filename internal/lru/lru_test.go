@@ -139,7 +139,7 @@ func TestGetAllHit(t *testing.T) {
 	keys := []string{"b", "a", "b", "b", "a"}
 	vals := make([]int, len(keys))
 	next := make([]int, len(keys))
-	distinct, ok := c.GetAll(keys, vals, next)
+	distinct, ok := c.GetAll(keys, vals, next, nil)
 	if !ok || distinct != 2 {
 		t.Fatalf("GetAll = %d, %v, want 2, true", distinct, ok)
 	}
@@ -158,7 +158,7 @@ func TestGetAllHit(t *testing.T) {
 		t.Fatalf("recency %v, want [c b a]", got)
 	}
 	// A second batch over the same entries detects duplicates afresh.
-	if distinct, ok := c.GetAll([]string{"c", "a", "c"}, vals, nil); !ok || distinct != 2 {
+	if distinct, ok := c.GetAll([]string{"c", "a", "c"}, vals, nil, nil); !ok || distinct != 2 {
 		t.Fatalf("second GetAll = %d, %v, want 2, true", distinct, ok)
 	}
 }
@@ -169,7 +169,7 @@ func TestGetAllMissTouchesNothing(t *testing.T) {
 	c.Add("b", 2)
 	hits, misses := mHits.Value(), mMisses.Value()
 	keys := []string{"b", "x", "a"}
-	if _, ok := c.GetAll(keys, make([]int, len(keys)), make([]int, len(keys))); ok {
+	if _, ok := c.GetAll(keys, make([]int, len(keys)), make([]int, len(keys)), nil); ok {
 		t.Fatal("GetAll reported a hit for a batch with a missing key")
 	}
 	if mHits.Value() != hits || mMisses.Value() != misses {
@@ -179,8 +179,53 @@ func TestGetAllMissTouchesNothing(t *testing.T) {
 		t.Fatalf("a missed GetAll changed recency: %v", got)
 	}
 	var nilCache *Cache[string, int]
-	if _, ok := nilCache.GetAll([]string{"a"}, make([]int, 1), nil); ok {
+	if _, ok := nilCache.GetAll([]string{"a"}, make([]int, 1), nil, nil); ok {
 		t.Fatal("nil cache GetAll hit")
+	}
+}
+
+// TestGetAllPartial: with found set, a batch with misses still serves
+// its hits — touched in input order, one hit per distinct key, linked
+// by next — and counts one miss per missing position.
+func TestGetAllPartial(t *testing.T) {
+	c := New[string, int](4)
+	c.Add("a", 1)
+	c.Add("b", 2)
+	c.Add("c", 3)
+	hits, misses := mHits.Value(), mMisses.Value()
+	keys := []string{"b", "x", "a", "b", "x"}
+	vals := make([]int, len(keys))
+	next := make([]int, len(keys))
+	found := make([]bool, len(keys))
+	distinct, ok := c.GetAll(keys, vals, next, found)
+	if ok || distinct != 2 {
+		t.Fatalf("GetAll = %d, %v, want 2, false", distinct, ok)
+	}
+	if fmt.Sprint(found) != "[true false true true false]" {
+		t.Fatalf("found %v", found)
+	}
+	if vals[0] != 2 || vals[2] != 1 || vals[3] != 2 {
+		t.Fatalf("vals %v", vals)
+	}
+	if next[0] != 3 || next[2] != -1 || next[3] != -1 {
+		t.Fatalf("next %v, want position 0 linked to 3", next)
+	}
+	if d := mHits.Value() - hits; d != 2 {
+		t.Fatalf("counted %d hits, want one per distinct hit key (2)", d)
+	}
+	if d := mMisses.Value() - misses; d != 2 {
+		t.Fatalf("counted %d misses, want one per missing position (2)", d)
+	}
+	if got := order(c); !equal(got, []string{"c", "b", "a"}) {
+		t.Fatalf("recency %v, want [c b a]", got)
+	}
+	if distinct, ok := c.GetAll([]string{"a", "c"}, vals, nil, found); !ok || distinct != 2 {
+		t.Fatalf("all-hit partial GetAll = %d, %v, want 2, true", distinct, ok)
+	}
+	var nilCache *Cache[string, int]
+	found[0] = true
+	if _, ok := nilCache.GetAll([]string{"a"}, vals, nil, found); ok || found[0] {
+		t.Fatal("nil cache partial GetAll hit")
 	}
 }
 

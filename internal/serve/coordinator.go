@@ -14,20 +14,21 @@ import (
 
 // coordinator fans /v1/campaign requests out to an elastic fleet of
 // worker sdserve instances over the streaming wire form and re-merges
-// their NDJSON streams. The campaign's points are planned into
-// shardsPerWorker shards per fleet member (canonical duplicates
-// co-located, so nothing simulates twice across the fleet) and handed
-// out work-stealing style from a queue: a fast worker simply takes more
-// shards, and a worker that joins mid-campaign — dynamic registration
-// or a dead peer probed back to life — steals from the remaining queue.
+// their NDJSON streams. Points its own engine already caches are served
+// locally first; only the misses are planned into shardsPerWorker
+// shards per fleet member (canonical duplicates co-located, so nothing
+// simulates twice across the fleet) and handed out work-stealing style
+// from a queue: a fast worker simply takes more shards, and a worker
+// that joins mid-campaign — dynamic registration or a dead peer probed
+// back to life — steals from the remaining queue.
 // A worker that fails mid-shard requeues only its unresolved points, is
 // taken out of rotation, and re-enters via the background health prober
 // (or by re-registering), so the merged output is identical to a
 // single-process run as long as the campaign never runs out of workers
 // entirely. With WarmCache the coordinator additionally negotiates
 // per-job report frames from the workers and primes its local engine
-// cache with the proxied results, so a SaveCache spill can warm later
-// local analyses.
+// cache with the proxied results, so the next campaign over them is
+// served locally and a SaveCache spill can warm later local analyses.
 type coordinator struct {
 	peers           *peerSet
 	client          *http.Client
@@ -172,22 +173,43 @@ type fanout struct {
 	strandWait bool
 }
 
-// run executes the campaign across the fleet, delivering each result on
-// updates the moment a worker streams it, and returns once every point
-// has resolved or the campaign failed. It mirrors Engine.RunStream's
-// contract: updates is closed before returning. wantReports relays the
-// negotiated per-job report frames to the client's stream as
-// report-only PointResults.
+// run executes the campaign, delivering each result on updates the
+// moment it resolves, and returns once every point has resolved or the
+// campaign failed. It mirrors Engine.RunStream's contract: updates is
+// closed before returning. wantReports relays per-job report frames to
+// the client's stream as report-only PointResults.
+//
+// The coordinator's own engine answers first: one batch probe of its
+// result cache serves every hit at once (with wantReports, only hits
+// that carry their per-job report), and only the misses are planned
+// into shards and fanned out across the fleet, under their original
+// campaign positions. A campaign with no misses needs no worker.
 func (c *coordinator) run(ctx context.Context, points []sdpolicy.Point, updates chan<- sdpolicy.PointResult, wantReports bool, campaignID string, tr *traceRecorder) error {
 	defer close(updates)
-	c.peers.expireLeases()
-	fleet := c.peers.fleetSize()
-	if fleet == 0 {
-		return fmt.Errorf("coordinator: no workers in the fleet (none static, none registered)")
-	}
-	shards, err := sdpolicy.PlanFleetShards(points, fleet, c.shardsPerWorker)
+	cached, err := c.engine.Lookup(points, wantReports)
 	if err != nil {
 		return err
+	}
+	var missing []int
+	for pos, res := range cached {
+		if res == nil {
+			missing = append(missing, pos)
+		}
+	}
+	var shards []sdpolicy.CampaignShard
+	if len(missing) > 0 {
+		c.peers.expireLeases()
+		fleet := c.peers.fleetSize()
+		if fleet == 0 {
+			return fmt.Errorf("coordinator: no workers in the fleet (none static, none registered)")
+		}
+		missPts := make([]sdpolicy.Point, len(missing))
+		for i, pos := range missing {
+			missPts[i] = points[pos]
+		}
+		if shards, err = sdpolicy.PlanFleetShards(missPts, fleet, c.shardsPerWorker); err != nil {
+			return err
+		}
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -203,9 +225,15 @@ func (c *coordinator) run(ctx context.Context, points []sdpolicy.Point, updates 
 		wake:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
+	st.serveLocal(ctx, cached, len(points)-len(missing), wantReports)
 	for _, s := range shards {
 		if len(s.Positions) == 0 {
 			continue
+		}
+		// Shard positions index the miss list; map them back to the
+		// campaign's own positions.
+		for j, i := range s.Positions {
+			s.Positions[j] = missing[i]
 		}
 		st.outstanding++
 		st.pending = append(st.pending, shardJob{positions: s.Positions})
@@ -356,7 +384,7 @@ func (c *coordinator) runShard(ctx context.Context, workerURL string, job shardJ
 	for i, pos := range job.positions {
 		pts[i] = st.points[pos]
 	}
-	needFrames := wantReports || (c.warmCache && c.engine != nil)
+	needFrames := wantReports || c.warmCache
 	resp, err := postCampaign(ctx, c.client, workerURL, pts, needFrames, st.campaignID)
 	if err != nil {
 		return job, fmt.Errorf("worker %s: %w", workerURL, err), verdictDead
@@ -411,7 +439,7 @@ func (c *coordinator) runShard(ctx context.Context, workerURL string, job shardJ
 				continue
 			}
 			pos := job.positions[local]
-			if c.warmCache && c.engine != nil {
+			if c.warmCache {
 				c.engine.PrimeProxied(st.points[pos], got[local], ev.Report)
 			}
 			if wantReports {
@@ -434,6 +462,30 @@ func (c *coordinator) runShard(ctx context.Context, workerURL string, job shardJ
 			return missing(), fmt.Errorf("worker %s: unrecognised stream line", workerURL), verdictDead
 		}
 	}
+}
+
+// serveLocal relays the coordinator's own cache hits — the hits
+// non-nil entries of cached — in position order, each followed by its
+// report frame when wantReports, as a local run's stream carries it.
+// It records one "local" trace span covering all of them.
+func (st *fanout) serveLocal(ctx context.Context, cached []*sdpolicy.Result, hits int, wantReports bool) {
+	if hits == 0 {
+		return
+	}
+	begin := time.Now()
+	mPointsLocal.Add(uint64(hits))
+	for pos, res := range cached {
+		if res == nil {
+			continue
+		}
+		st.emit(ctx, pos, res)
+		if wantReports {
+			if raw, err := res.ReportJSON(); err == nil {
+				st.emitReport(ctx, pos, raw)
+			}
+		}
+	}
+	st.trace.record("local", hits, 0, begin, nil)
 }
 
 // next hands out the queue's front job. When the queue is empty it

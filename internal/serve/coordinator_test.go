@@ -28,18 +28,24 @@ const coordCampaignBody = `{"points":[
 	{"workload":"wl5","scale":0.15,"seed":2,"options":{"policy":"oversubscribe"}}
 ]}`
 
-// coordReferenceResults runs the same campaign on a local engine.
-func coordReferenceResults(t *testing.T) []*sdpolicy.Result {
-	t.Helper()
+// coordCampaignPoints decodes coordCampaignBody into its points.
+func coordCampaignPoints(tb testing.TB) []sdpolicy.Point {
+	tb.Helper()
 	var req CampaignRequest
 	if err := json.Unmarshal([]byte(coordCampaignBody), &req); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	points, err := sdpolicy.PointsFromSpecs(req.Points)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	want, err := sdpolicy.NewEngine(4, 64).Run(context.Background(), points)
+	return points
+}
+
+// coordReferenceResults runs the same campaign on a local engine.
+func coordReferenceResults(t *testing.T) []*sdpolicy.Result {
+	t.Helper()
+	want, err := sdpolicy.NewEngine(4, 64).Run(context.Background(), coordCampaignPoints(t))
 	if err != nil {
 		t.Fatal(err)
 	}

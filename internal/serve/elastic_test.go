@@ -441,6 +441,13 @@ func TestCoordinatorWarmCacheSpill(t *testing.T) {
 	})
 	want := coordReferenceResults(t)
 	assertResultsMatch(t, runCoordinatorCampaign(t, coord.URL), want)
+	// The primed results serve the next campaign locally: no shard
+	// leaves the coordinator.
+	queued := mShardsQueued.Value()
+	assertResultsMatch(t, runCoordinatorCampaign(t, coord.URL), want)
+	if d := mShardsQueued.Value() - queued; d != 0 {
+		t.Fatalf("replaying a warmed campaign queued %d shards, want 0", d)
+	}
 
 	spill := filepath.Join(t.TempDir(), sdpolicy.CacheFileName)
 	stats, err := s.engine.SaveCache(spill)
@@ -457,14 +464,7 @@ func TestCoordinatorWarmCacheSpill(t *testing.T) {
 	if err := local.LoadCache(spill); err != nil {
 		t.Fatal(err)
 	}
-	var req CampaignRequest
-	if err := json.Unmarshal([]byte(coordCampaignBody), &req); err != nil {
-		t.Fatal(err)
-	}
-	points, err := sdpolicy.PointsFromSpecs(req.Points)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := coordCampaignPoints(t)
 	got, err := local.Run(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
@@ -490,17 +490,10 @@ func TestRemoteCampaignWarmsLocalCache(t *testing.T) {
 		Workers:       startWorkers(t, 2),
 		ProbeInterval: time.Hour,
 	})
-	var req CampaignRequest
-	if err := json.Unmarshal([]byte(coordCampaignBody), &req); err != nil {
-		t.Fatal(err)
-	}
-	points, err := sdpolicy.PointsFromSpecs(req.Points)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := coordCampaignPoints(t)
 	local := sdpolicy.NewEngine(2, 64)
 	got := make(map[int]*sdpolicy.Result, len(points))
-	err = RunRemoteCampaign(context.Background(), nil, coord.URL, points, true,
+	err := RunRemoteCampaign(context.Background(), nil, coord.URL, points, true,
 		func(index int, res *sdpolicy.Result, report json.RawMessage) error {
 			if res != nil {
 				got[index] = res
@@ -529,11 +522,24 @@ func TestRemoteCampaignWarmsLocalCache(t *testing.T) {
 }
 
 // BenchmarkCoordinatorFanout is the CI fan-out smoke: a three-worker
-// fleet re-merging the fixed campaign. After the first iteration every
+// fleet re-merging the fixed campaign. The coordinator's own cache
+// stays cold, so every point fans out; after the first iteration every
 // worker serves from cache, so steady-state iterations measure the
 // coordination overhead (planning, queueing, streaming, re-merge), not
 // simulation.
 func BenchmarkCoordinatorFanout(b *testing.B) {
+	benchCoordinator(b, false)
+}
+
+// BenchmarkCoordinatorWarm is the same campaign against a coordinator
+// whose own engine already holds every point: it serves the whole
+// campaign from one cache probe, so iterations measure the local-hit
+// path (decode, probe, stream) with no worker hop.
+func BenchmarkCoordinatorWarm(b *testing.B) {
+	benchCoordinator(b, true)
+}
+
+func benchCoordinator(b *testing.B, warm bool) {
 	workers := make([]string, 3)
 	for i := range workers {
 		srv := httptest.NewServer(New(sdpolicy.NewEngine(2, 64), 8).Handler())
@@ -547,9 +553,7 @@ func BenchmarkCoordinatorFanout(b *testing.B) {
 	b.Cleanup(s.BeginShutdown)
 	coord := httptest.NewServer(s.Handler())
 	b.Cleanup(coord.Close)
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	post := func() {
 		resp, err := http.Post(coord.URL+"/v1/campaign", "application/json",
 			strings.NewReader(coordCampaignBody))
 		if err != nil {
@@ -562,5 +566,18 @@ func BenchmarkCoordinatorFanout(b *testing.B) {
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("status %d", resp.StatusCode)
 		}
+	}
+	if warm {
+		if _, err := s.engine.Run(context.Background(), coordCampaignPoints(b)); err != nil {
+			b.Fatal(err)
+		}
+		// One untimed campaign opens the client connection, so that
+		// allocs/op is the steady state even at CI's -benchtime 2x.
+		post()
+	}
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
 	}
 }

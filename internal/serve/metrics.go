@@ -16,6 +16,8 @@ var (
 		"Shard jobs enqueued for fan-out (initial planning; requeues counted separately).")
 	mShardsStolen = telemetry.NewCounterVec("fleet_shards_stolen_total",
 		"Shard jobs taken from the queue, by the peer whose loop took them.", "peer")
+	mPointsLocal = telemetry.NewCounter("fleet_points_local_total",
+		"Campaign points the coordinator served from its own cache, without fan-out.")
 	mShardsRequeued = telemetry.NewCounter("fleet_shards_requeued_total",
 		"Failed shards whose unresolved remainder went back on the queue.")
 	mPeerInflight = telemetry.NewGaugeVec("fleet_peer_inflight",

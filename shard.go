@@ -36,12 +36,9 @@ func PlanShards(points []Point, n int) ([]CampaignShard, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sdpolicy: planning %d shards: %w", n, ErrBadInput)
 	}
-	keys := make([]Point, len(points))
-	for i, p := range points {
-		if err := p.validate(); err != nil {
-			return nil, fmt.Errorf("point %d: %w", i, err)
-		}
-		keys[i] = p.canonical()
+	keys, err := canonicalKeys(points)
+	if err != nil {
+		return nil, err
 	}
 	plan := campaign.Plan(keys, n)
 	shards := make([]CampaignShard, len(plan))
@@ -54,6 +51,19 @@ func PlanShards(points []Point, n int) ([]CampaignShard, error) {
 		shards[i] = cs
 	}
 	return shards, nil
+}
+
+// canonicalKeys validates every point and returns its canonical cache
+// key, labelling an invalid point with its index.
+func canonicalKeys(points []Point) ([]Point, error) {
+	keys := make([]Point, len(points))
+	for i, p := range points {
+		if err := p.validate(); err != nil {
+			return nil, fmt.Errorf("point %d: %w", i, err)
+		}
+		keys[i] = p.canonical()
+	}
+	return keys, nil
 }
 
 // DefaultShardsPerWorker is the shard-granularity factor PlanFleetShards
