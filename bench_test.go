@@ -288,8 +288,9 @@ func BenchmarkSimulator_SDPolicy(b *testing.B) {
 }
 
 // BenchmarkSimKernel times the discrete-event kernel itself on a
-// mid-size workload and reports raw event throughput — the number the
-// telemetry plane's sim_events_per_second gauge tracks at runtime.
+// mid-size workload and reports raw event throughput — at runtime,
+// sim_events_processed_total / sim_run_seconds_total — and the
+// machine-independent work of the scheduling passes (reportWork).
 func BenchmarkSimKernel(b *testing.B) {
 	spec, err := workload.Shared.Get("wl4", benchScale, 1)
 	if err != nil {
@@ -299,7 +300,7 @@ func BenchmarkSimKernel(b *testing.B) {
 	cfg.Policy = sched.SDPolicy
 	cfg.MaxSlowdown = 10
 	ctx := context.Background()
-	var events uint64
+	var events, examined, mateChecks uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := sched.RunContext(ctx, *spec, cfg)
@@ -307,8 +308,18 @@ func BenchmarkSimKernel(b *testing.B) {
 			b.Fatal(err)
 		}
 		events += res.Events
+		examined += res.Examined
+		mateChecks += res.MateChecks
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	reportWork(b, examined, mateChecks)
+}
+
+// reportWork reports the scheduling passes' work per op: queued jobs
+// the backfill walks examined and mate checks the mate searches made.
+func reportWork(b *testing.B, examined, mateChecks uint64) {
+	b.ReportMetric(float64(examined)/float64(b.N), "examined/op")
+	b.ReportMetric(float64(mateChecks)/float64(b.N), "matechecks/op")
 }
 
 // BenchmarkSimKernelSmall times the fresh points a served fleet
@@ -332,7 +343,7 @@ func BenchmarkSimKernelSmall(b *testing.B) {
 	sd.MaxSlowdown = 10
 	cfgs := []sched.Config{static, sd}
 	ctx := context.Background()
-	var events uint64
+	var events, examined, mateChecks uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, spec := range specs {
@@ -342,8 +353,11 @@ func BenchmarkSimKernelSmall(b *testing.B) {
 					b.Fatal(err)
 				}
 				events += res.Events
+				examined += res.Examined
+				mateChecks += res.MateChecks
 			}
 		}
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	reportWork(b, examined, mateChecks)
 }

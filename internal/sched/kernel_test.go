@@ -183,52 +183,158 @@ func TestProfileMateReleasesAtGuestEnd(t *testing.T) {
 	}
 }
 
-// TestStaticNoFitSkipStartsNothing runs the full backfill walk on every
-// pass that static backfill skips and checks it starts nothing, and that
-// skipped passes still count in Result.Passes.
-func TestStaticNoFitSkipStartsNothing(t *testing.T) {
+// refEligible is the brute-force reference of the mate checks: every
+// condition canHost and eligibleMate split between them, with the
+// full-core test read from the cluster instead of the allFull flag.
+func refEligible(s *Scheduler, m, g *rjob, now, guestEnd int64) bool {
+	if s.cfg.Policy == SDPolicy && m.j.Kind != job.Malleable {
+		return false
+	}
+	if m.guest != nil || len(m.hosts) > 0 || s.mgr.OwnerKeepCores() < m.j.TasksPerNode {
+		return false
+	}
+	if len(m.nodes) > g.j.ReqNodes || m.predEnd(now) < guestEnd {
+		return false
+	}
+	for _, nd := range m.nodes {
+		if s.cl.CoresOf(nd, m.j.ID) != s.cl.Config().CoresPerNode() ||
+			!s.cl.NodeHasFeatures(nd, g.j.Features) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWalkExitStartsNothing vetoes every exit of the backfill walk, at
+// pass entry and mid-walk, so the hooked run walks every window in
+// full. At each exit a brute-force check confirms that no remaining
+// window job requests at most the free nodes and, unless the policy is
+// static, that no running job could host any of them; the full walks
+// must then decide exactly what the exiting unhooked run decides.
+func TestWalkExitStartsNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	specs := []workload.Spec{workload.WL1(0.05, 1), workload.WL5(0.05, 2)}
 	for i := 0; i < 10; i++ {
 		specs = append(specs, randomSpec(rng), featureStressSpec(rng))
 	}
+	maxsd := sdConfig()
+	maxsd.MaxSlowdown = 10
+	dyn := sdConfig()
+	dyn.Cutoff = CutoffDynAvg
 	easy := Defaults()
 	easy.ReservationDepth = 1
 	shallow := Defaults()
 	shallow.BackfillDepth = 2
-	dyn := Defaults()
-	dyn.Cutoff = CutoffDynAvg
-	skipped := 0
+	sdShallow := maxsd
+	sdShallow.BackfillDepth = 2
+	cfgs := map[string]Config{
+		"static": Defaults(), "maxsd10": maxsd, "dyn-avg": dyn, "oversub": oversubConfig(0.15),
+		"easy": easy, "depth2": shallow, "sd-depth2": sdShallow,
+	}
+	// Per config: exits fired at pass entry and mid-walk. A vetoed exit
+	// fires again at every later position of the same walk.
+	exits := map[string][2]int{}
 	for si, spec := range specs {
-		for ci, cfg := range []Config{Defaults(), easy, shallow, dyn} {
+		for name, cfg := range cfgs {
 			calls := uint64(0)
 			s := runHooked(t, spec, cfg, func(s *Scheduler) {
 				calls++
-				if len(s.queue) == 0 || !s.noStaticFit() {
-					return
+				s.exitHook = func(avail int, rest []*rjob) bool {
+					now := s.eng.Now()
+					w := min(len(s.queue), cfg.BackfillDepth)
+					entry := len(rest) == w
+					if len(rest) == 0 || rest[len(rest)-1] != s.queue[w-1] {
+						t.Fatalf("spec %d %s t=%d: exit rest is not the window tail", si, name, now)
+					}
+					if entry && avail != s.cl.FreeNodes() || !entry && avail != s.prof.availNow {
+						t.Fatalf("spec %d %s t=%d: exit sees %d free nodes", si, name, now, avail)
+					}
+					for _, g := range rest {
+						if g.j.ReqNodes <= avail {
+							t.Fatalf("spec %d %s t=%d: job %d requests %d of %d free nodes",
+								si, name, now, g.j.ID, g.j.ReqNodes, avail)
+						}
+						if cfg.Policy == StaticBackfill {
+							continue
+						}
+						for _, m := range s.runList {
+							if refEligible(s, m, g, now, now+1) {
+								t.Fatalf("spec %d %s t=%d: job %d could host job %d",
+									si, name, now, m.j.ID, g.j.ID)
+							}
+						}
+					}
+					e := exits[name]
+					if entry {
+						e[0]++
+					} else {
+						e[1]++
+					}
+					exits[name] = e
+					return false
 				}
-				queued, running := len(s.queue), len(s.runList)
-				s.backfill(s.eng.Now())
-				if len(s.queue) != queued || len(s.runList) != running {
-					t.Fatalf("spec %d cfg %d t=%d: skipped pass would start %d jobs",
-						si, ci, s.eng.Now(), queued-len(s.queue))
-				}
-				skipped++
 			})
 			res := runOrFail(t, spec, cfg)
 			if res.Passes != calls || s.passes != calls {
-				t.Fatalf("spec %d cfg %d: Result.Passes %d, hooked run %d, passes requested %d",
-					si, ci, res.Passes, s.passes, calls)
+				t.Fatalf("spec %d %s: Result.Passes %d, hooked run %d, passes requested %d",
+					si, name, res.Passes, s.passes, calls)
 			}
 			if !reflect.DeepEqual(res.Report.Results, s.results) {
-				t.Fatalf("spec %d cfg %d: results differ from the unhooked run", si, ci)
+				t.Fatalf("spec %d %s: results differ from the unhooked run", si, name)
 			}
 		}
 	}
-	if skipped == 0 {
-		t.Fatal("no pass was skipped")
+	for name, e := range exits {
+		if e[0] == 0 || e[1] == 0 {
+			t.Errorf("%s: %d exits at pass entry, %d mid-walk; want both", name, e[0], e[1])
+		}
 	}
-	t.Logf("%d skipped passes verified", skipped)
+	t.Logf("exits (entry, mid-walk): %v", exits)
+}
+
+// TestHostListMatchesBruteForce checks, at every malleable trial of the
+// stress workloads, that the mates the search can pick from the host
+// list are exactly the running jobs the brute-force reference accepts.
+func TestHostListMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	trials, found := 0, 0
+	for i := 0; i < 20; i++ {
+		spec := randomSpec(rng)
+		if i%2 == 1 {
+			spec = featureStressSpec(rng)
+		}
+		for name, cfg := range stressConfigs() {
+			if cfg.Policy == StaticBackfill {
+				continue
+			}
+			runHooked(t, spec, cfg, func(s *Scheduler) {
+				s.trialHook = func(g *rjob, guestEnd int64, hosts []*rjob) {
+					now := s.eng.Now()
+					var got, want []*rjob
+					for _, m := range hosts {
+						if s.eligibleMate(m, g, now, guestEnd) {
+							got = append(got, m)
+						}
+					}
+					for _, m := range s.runList {
+						if refEligible(s, m, g, now, guestEnd) {
+							want = append(want, m)
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("spec %d %s t=%d guest %d: host list yields %d mates, brute force %d",
+							i, name, now, g.j.ID, len(got), len(want))
+					}
+					trials++
+					found += len(got)
+				}
+			})
+		}
+	}
+	if trials == 0 || found == 0 {
+		t.Fatalf("%d trials, %d eligible mates: the property went untested", trials, found)
+	}
+	t.Logf("%d malleable trials, %d eligible mates checked", trials, found)
 }
 
 // TestKernelAllocsPerEvent gates kernel allocations per simulated event
@@ -253,6 +359,35 @@ func TestKernelAllocsPerEvent(t *testing.T) {
 		t.Logf("%s: %.0f allocs over %d events, %.2f per event", name, allocs, events, perEvent)
 		if perEvent > 1.5 {
 			t.Errorf("%s: %.2f allocs per event, ceiling 1.5", name, perEvent)
+		}
+	}
+}
+
+// TestKernelWorkCeiling pins the scheduling passes' work on a small
+// preset at the measured counts + 10%: queued jobs the backfill walks
+// examine, and mate checks the mate searches make. A walk that no
+// longer stops once nothing can start, or a mate search that scans
+// every running job again, fails it.
+func TestKernelWorkCeiling(t *testing.T) {
+	spec := workload.WL1(0.05, 1)
+	sd := sdConfig()
+	sd.MaxSlowdown = 10
+	sd.RuntimeModel = model.Ideal
+	for _, tc := range []struct {
+		name                 string
+		cfg                  Config
+		examined, mateChecks uint64
+	}{
+		{"static", Defaults(), 2844, 0},
+		{"maxsd10", sd, 2294, 2384},
+	} {
+		res := runOrFail(t, spec, tc.cfg)
+		t.Logf("%s: %d examined, %d mate checks", tc.name, res.Examined, res.MateChecks)
+		if ceiling := tc.examined * 11 / 10; res.Examined > ceiling {
+			t.Errorf("%s: %d queued jobs examined, ceiling %d", tc.name, res.Examined, ceiling)
+		}
+		if ceiling := tc.mateChecks * 11 / 10; res.MateChecks > ceiling {
+			t.Errorf("%s: %d mate checks, ceiling %d", tc.name, res.MateChecks, ceiling)
 		}
 	}
 }

@@ -43,22 +43,40 @@ func penalty(m *rjob, now, guestEnd int64, keepRate float64) float64 {
 	return (wait + m.increase + newInc + req) / req
 }
 
-// eligibleMate reports whether m can shrink for the guest g ending at
-// guestEnd: malleable, not hosting, not hosted, holding all its nodes at
-// full cores, shrink floor respected, long enough that the guest
+// canHost reports whether m passes the mate checks that do not depend
+// on the guest: malleable (under SDPolicy; oversubscription shares
+// blindly), neither hosting nor hosted, holding all its nodes at full
+// cores, and able to keep one core per task once shrunk.
+func (s *Scheduler) canHost(m *rjob) bool {
+	return (s.cfg.Policy != SDPolicy || m.j.Kind == job.Malleable) &&
+		m.guest == nil && len(m.hosts) == 0 && m.allFull &&
+		s.mgr.OwnerKeepCores() >= m.j.TasksPerNode
+}
+
+// hostList returns the running jobs that canHost, in runList order. A
+// pass marks it stale, and so does every job start; it is rebuilt on
+// the first use after that.
+func (s *Scheduler) hostList() []*rjob {
+	if s.hostsStale {
+		s.hosts = s.hosts[:0]
+		for _, m := range s.runList {
+			if s.canHost(m) {
+				s.hosts = append(s.hosts, m)
+			}
+		}
+		s.hostsStale = false
+	}
+	return s.hosts
+}
+
+// eligibleMate reports whether the host m can shrink for the guest g
+// ending at guestEnd: no wider than the guest (a mate shrinks on all
+// its nodes, so a wider one overshoots), long enough that the guest
 // finishes inside its allocation (Section 3.2.4 constraint), and on
 // nodes satisfying the guest's feature constraints.
 func (s *Scheduler) eligibleMate(m, g *rjob, now, guestEnd int64) bool {
-	if s.cfg.Policy == SDPolicy && m.j.Kind != job.Malleable {
-		return false // only malleable jobs can shrink; oversubscription shares blindly
-	}
-	if m.guest != nil || len(m.hosts) > 0 {
-		return false
-	}
-	if s.mgr.OwnerKeepCores() < m.j.TasksPerNode {
-		return false
-	}
-	if !m.allFull {
+	s.mateChecks++
+	if len(m.nodes) > g.j.ReqNodes {
 		return false
 	}
 	if s.predEndOf(m, now) < guestEnd {
@@ -136,7 +154,7 @@ func (ms *mateSearch) dfs(start, needed int, pen float64) {
 }
 
 // selectMates implements Listing 2's pick_mates: filter and sort the
-// running jobs by penalty, then search combinations of at most MaxMates
+// host list by penalty, then search combinations of at most MaxMates
 // mates whose node counts sum to the request (constraint 3), each below
 // the MAX_SLOWDOWN cut-off (constraint 2), minimising the Performance
 // Impact (Eq. 1). Returns nil when no feasible combination exists. The
@@ -160,10 +178,11 @@ func (s *Scheduler) selectMates(r *rjob, now, guestEnd int64) *mateSelection {
 	// instead of a slot in a full sort.
 	nm := s.cfg.CandidateCap
 	cands := s.search.cands[:0]
-	for _, m := range s.runList {
-		if len(m.nodes) > W {
-			continue // a mate shrinks on all its nodes; larger mates overshoot
-		}
+	hosts := s.hostList()
+	if s.trialHook != nil {
+		s.trialHook(r, guestEnd, hosts)
+	}
+	for _, m := range hosts {
 		if !s.eligibleMate(m, r, now, guestEnd) {
 			continue
 		}

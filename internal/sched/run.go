@@ -30,6 +30,11 @@ type Result struct {
 	Mates           int
 	Passes          uint64
 	Events          uint64
+	// Examined counts the queued jobs the backfill walks examined, and
+	// MateChecks the running jobs the mate searches tested against a
+	// guest: the kernel's work, independent of the machine.
+	Examined   uint64
+	MateChecks uint64
 }
 
 // Run simulates the workload under the configuration and returns the
@@ -61,6 +66,7 @@ func RunContext(ctx context.Context, spec workload.Spec, cfg Config) (*Result, e
 		enginePool.Put(eng)
 	}()
 	s := NewScheduler(eng, cfg, spec.Cluster)
+	s.results = make([]metrics.JobResult, 0, len(spec.Jobs))
 	for nd, feats := range spec.NodeFeatures {
 		s.cl.SetNodeFeatures(nd, feats...)
 	}
@@ -105,5 +111,7 @@ func RunContext(ctx context.Context, spec workload.Spec, cfg Config) (*Result, e
 		Mates:           rep.Mates(),
 		Passes:          s.passes,
 		Events:          eng.Processed(),
+		Examined:        s.examined,
+		MateChecks:      s.mateChecks,
 	}, nil
 }

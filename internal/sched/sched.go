@@ -43,17 +43,21 @@ type rjob struct {
 	// buildProfile.
 	relT int64
 	relN int
-	done bool // finished; still in Scheduler.byRelease until the next build
-	// allFull mirrors "every node share equals the full core count",
-	// refreshed by setRates — shares never change without a rate
-	// refresh, so the flag is exact. It replaces the per-candidate
-	// share scan of the mate-eligibility check.
-	allFull bool
+	// minReq is the smallest ReqNodes from this job to the end of the
+	// backfill window, as of the start of the current pass: the
+	// suffix minimum the walk's exit rule reads. See exhausted.
+	minReq int
 	// malleability roles
 	guest     *rjob   // guest currently hosted (this job is its mate)
 	hosts     []*rjob // mates hosting this job (this job is a guest)
 	mallStart bool
 	everMate  bool
+	// allFull mirrors "every node share equals the full core count",
+	// refreshed by setRates — shares never change without a rate
+	// refresh, so the flag is exact. It replaces the per-candidate
+	// share scan of the mate-eligibility check.
+	allFull bool
+	done    bool // finished; still in Scheduler.byRelease until the next build
 	// committed predicted extra runtime, the "increase" history feeding
 	// Eq. 4 penalties.
 	increase float64
@@ -111,6 +115,23 @@ type Scheduler struct {
 	// counters
 	mallStarts int
 	passes     uint64
+	examined   uint64 // queued jobs the backfill walks examined
+	mateChecks uint64 // eligibleMate calls
+
+	// hosts lists the running jobs that pass the guest-independent mate
+	// checks (see canHost), rebuilt by hostList when hostsStale says a
+	// pass began or a job started since the last build. Its capacity is
+	// the node count, which bounds the hosts: each owns its nodes.
+	hosts      []*rjob
+	hostsStale bool
+
+	// Test hooks, nil outside tests. exitHook sees every early end of
+	// a backfill walk (and the pass-entry check) with the availability
+	// and the window jobs left; returning false vetoes the exit.
+	// trialHook sees every malleable trial's guest, its predicted end
+	// and the host list its mate search scans.
+	exitHook  func(avail int, rest []*rjob) bool
+	trialHook func(g *rjob, guestEnd int64, hosts []*rjob)
 
 	// Scratch reused across passes. relBuf holds the per-node latest
 	// predicted release time for feature-constrained estimates;
@@ -154,6 +175,9 @@ func NewScheduler(eng *sim.Engine, cfg Config, machine cluster.Config) *Schedule
 		meter:    energy.NewMeter(machine.Nodes, idleW, coreW),
 		maxSD:    cfg.MaxSlowdown,
 		relDirty: true,
+	}
+	if cfg.Policy != StaticBackfill {
+		s.hosts = make([]*rjob, 0, machine.Nodes)
 	}
 	s.passFn = s.pass
 	return s
@@ -287,6 +311,7 @@ func (s *Scheduler) begin(r *rjob, malleable bool) {
 	r.runIdx = len(s.runList)
 	s.runList = append(s.runList, r)
 	s.byRelease = append(s.byRelease, r)
+	s.hostsStale = true
 	if malleable {
 		s.mallStarts++
 	}
@@ -352,33 +377,63 @@ func (s *Scheduler) finish(r *rjob) {
 }
 
 // pass is one scheduling pass. Passes that cannot start a job end
-// after being counted; the rest run the backfill walk.
+// after being counted; the rest run the backfill walk over the window,
+// the first BackfillDepth queued jobs.
 func (s *Scheduler) pass() {
 	s.passPending = false
 	s.passes++
-	if len(s.queue) == 0 || s.noStaticFit() {
+	s.hostsStale = true
+	window := s.queue[:min(len(s.queue), s.cfg.BackfillDepth)]
+	if len(window) == 0 {
 		return
 	}
-	s.backfill(s.eng.Now())
+	minReq := math.MaxInt
+	for i := len(window) - 1; i >= 0; i-- {
+		minReq = min(minReq, window[i].j.ReqNodes)
+		window[i].minReq = minReq
+	}
+	if s.exhausted(s.cl.FreeNodes(), window) {
+		return
+	}
+	s.backfill(s.eng.Now(), window)
 }
 
-// backfill is the static conservative-backfill loop with, under
+// exhausted reports that no job of rest, the window jobs the walk has
+// not examined yet, can start with avail nodes free now. A static start
+// needs ReqNodes free nodes now: every profile breakpoint lies after
+// now, so with fewer the start estimate is later. A malleable start
+// needs a mate, and only jobs on the host list can be one. When neither
+// is possible for rest[0], it starts nothing, so the next job sees the
+// same free count and host list, and by induction the rest of the walk
+// starts nothing; its reservations die with the pass.
+func (s *Scheduler) exhausted(avail int, rest []*rjob) bool {
+	if avail >= rest[0].minReq {
+		return false
+	}
+	if s.cfg.Policy != StaticBackfill && len(s.hostList()) > 0 {
+		return false
+	}
+	return s.exitHook == nil || s.exitHook(avail, rest)
+}
+
+// backfill is the static conservative-backfill walk with, under
 // SDPolicy, the malleable trial of Listing 1 after each failed static
-// trial.
-func (s *Scheduler) backfill(now int64) {
+// trial. It ends early once the window is exhausted.
+func (s *Scheduler) backfill(now int64, window []*rjob) {
 	if s.cfg.Cutoff != CutoffStatic {
 		s.maxSD = s.dynamicCutoff(now)
 	}
 	prof := s.buildProfile(now)
 
 	kept := s.queue[:0]
-	examined, reserved := 0, 0
-	for qi, r := range s.queue {
-		if examined >= s.cfg.BackfillDepth {
-			kept = append(kept, s.queue[qi:]...)
+	reserved := 0
+	qi := 0
+	for ; qi < len(window); qi++ {
+		if qi > 0 && s.exhausted(prof.availNow, window[qi:]) {
 			break
 		}
-		examined++
+		r := window[qi]
+		s.examined++
 		est := prof.earliestStart(r.j.ReqNodes, r.j.ReqTime)
 		// Feature-constrained jobs additionally wait for matching nodes:
 		// their start estimate is the later of the aggregate profile and
@@ -407,31 +462,10 @@ func (s *Scheduler) backfill(now int64) {
 		}
 		kept = append(kept, r)
 	}
+	kept = append(kept, s.queue[qi:]...)
 	// zero the tail so removed jobs do not leak
-	for i := len(kept); i < len(s.queue); i++ {
-		s.queue[i] = nil
-	}
+	clear(s.queue[len(kept):])
 	s.queue = kept
-}
-
-// noStaticFit reports a pass that cannot start a job: under static
-// backfill a job starts only on free nodes, so when no job in the
-// backfill window requests at most FreeNodes() the pass starts nothing
-// and its reservations are thrown away. Skipping it changes no decision.
-func (s *Scheduler) noStaticFit() bool {
-	if s.cfg.Policy != StaticBackfill {
-		return false
-	}
-	free := s.cl.FreeNodes()
-	for qi, r := range s.queue {
-		if qi == s.cfg.BackfillDepth {
-			break
-		}
-		if r.j.ReqNodes <= free {
-			return false
-		}
-	}
-	return true
 }
 
 // startStatic places the job on free nodes now and charges the profile.

@@ -59,6 +59,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, series := range []string{
 		"sim_events_processed_total",
 		"sim_runs_total",
+		"sim_run_seconds_total",
 		"campaign_points_completed_total",
 		"campaign_cache_misses_total",
 		"campaign_point_seconds_bucket",

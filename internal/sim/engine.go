@@ -24,8 +24,8 @@ var (
 		"Context-cancellation checkpoints polled by RunCtx.")
 	mRuns = telemetry.NewCounter("sim_runs_total",
 		"Completed RunCtx invocations (including cancelled ones).")
-	mEventRate = telemetry.NewGauge("sim_events_per_second",
-		"Event throughput of the most recent RunCtx invocation.")
+	mRunSeconds = telemetry.NewFloatCounter("sim_run_seconds_total",
+		"Wall-clock seconds spent in RunCtx; sim_events_processed_total over it is the event throughput.")
 )
 
 // Time is simulated time in seconds since the start of the experiment.
@@ -362,9 +362,7 @@ func (e *Engine) RunCtx(ctx context.Context, every uint64) error {
 		mEvents.Add(fired)
 		mCheckpoints.Add(checkpoints)
 		mRuns.Inc()
-		if elapsed := time.Since(start).Seconds(); elapsed > 0 && fired > 0 {
-			mEventRate.Set(float64(fired) / elapsed)
-		}
+		mRunSeconds.Add(time.Since(start).Seconds())
 	}()
 	last := start
 	next := e.ran + every

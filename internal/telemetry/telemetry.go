@@ -44,11 +44,12 @@ const (
 	counterKind kind = iota
 	gaugeKind
 	histogramKind
+	floatCounterKind
 )
 
 func (k kind) String() string {
 	switch k {
-	case counterKind:
+	case counterKind, floatCounterKind:
 		return "counter"
 	case gaugeKind:
 		return "gauge"
@@ -99,6 +100,8 @@ func (f *family) child(lvs []string) sample {
 			s = &Counter{}
 		case gaugeKind:
 			s = &Gauge{}
+		case floatCounterKind:
+			s = &FloatCounter{}
 		default:
 			s = newHistogram(f.buckets)
 		}
@@ -176,6 +179,11 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{f: r.register(name, help, counterKind, labels, nil)}
 }
 
+// FloatCounter registers (or fetches) an unlabeled float counter.
+func (r *Registry) FloatCounter(name, help string) *FloatCounter {
+	return r.register(name, help, floatCounterKind, nil, nil).child(nil).(*FloatCounter)
+}
+
 // Gauge registers (or fetches) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.register(name, help, gaugeKind, nil, nil).child(nil).(*Gauge)
@@ -218,6 +226,10 @@ func NewCounter(name, help string) *Counter { return Default.Counter(name, help)
 func NewCounterVec(name, help string, labels ...string) *CounterVec {
 	return Default.CounterVec(name, help, labels...)
 }
+
+// NewFloatCounter registers an unlabeled float counter in the Default
+// registry.
+func NewFloatCounter(name, help string) *FloatCounter { return Default.FloatCounter(name, help) }
 
 // NewGauge registers an unlabeled gauge in the Default registry.
 func NewGauge(name, help string) *Gauge { return Default.Gauge(name, help) }
@@ -263,6 +275,26 @@ type CounterVec struct{ f *family }
 func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.f.child(labelValues).(*Counter)
 }
+
+// FloatCounter is a monotonically increasing float64, for counters of
+// non-integral quantities such as seconds. All methods are lock-free
+// and safe for concurrent use.
+type FloatCounter struct{ g Gauge }
+
+// Add adds delta, which must not be negative.
+func (c *FloatCounter) Add(delta float64) {
+	if delta < 0 {
+		panic(fmt.Sprintf("telemetry: counter decremented by %v", -delta))
+	}
+	c.g.Add(delta)
+}
+
+// Value returns the current total.
+func (c *FloatCounter) Value() float64 { return c.g.Value() }
+
+func (c *FloatCounter) scalar() float64 { return c.g.Value() }
+
+func (c *FloatCounter) write(w io.Writer, name, labels string) { c.g.write(w, name, labels) }
 
 // Gauge is a float64 that can go up and down. All methods are lock-free
 // (CAS loops) and safe for concurrent use.

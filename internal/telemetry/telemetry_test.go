@@ -117,6 +117,40 @@ func TestRegistrationConflictPanics(t *testing.T) {
 	}
 }
 
+// TestFloatCounter covers the float counter: exposition as a counter,
+// Value lookups, a clash with an integer counter of the same name, and
+// the refusal to count down.
+func TestFloatCounter(t *testing.T) {
+	r := NewRegistry()
+	c := r.FloatCounter("f_seconds_total", "Float counter.")
+	c.Add(1.5)
+	r.FloatCounter("f_seconds_total", "fetched again").Add(0.25)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP f_seconds_total Float counter.\n# TYPE f_seconds_total counter\nf_seconds_total 1.75\n"
+	if got := sb.String(); got != want {
+		t.Errorf("exposition mismatch\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if v, ok := r.Value("f_seconds_total"); !ok || v != 1.75 || c.Value() != 1.75 {
+		t.Errorf("Value = %v, %v; counter %v; want 1.75", v, ok, c.Value())
+	}
+	for name, fn := range map[string]func(){
+		"clash":    func() { r.Counter("f_seconds_total", "now integral") },
+		"negative": func() { c.Add(-1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
 // TestValueLookups covers labeled lookups, gauges, histograms and misses.
 func TestValueLookups(t *testing.T) {
 	r := NewRegistry()
