@@ -1,12 +1,12 @@
 package sdpolicy
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section (DESIGN.md §5 maps each to its experiment). Each
-// benchmark regenerates its artefact on a scaled-down workload per
-// iteration and reports the headline quantities via b.ReportMetric, so
-// `go test -bench . -benchmem` both times the simulator and prints the
-// reproduced results. EXPERIMENTS.md records full-scale paper-vs-measured
-// numbers produced by cmd/sdexp.
+// evaluation section, each running its registry experiment
+// (experiments_registry.go). Each benchmark regenerates its artefact on
+// a scaled-down workload per iteration and reports the headline
+// quantities via b.ReportMetric, so `go test -bench . -benchmem` both
+// times the simulator and prints the reproduced results. cmd/sdexp runs
+// the same experiments at full scale.
 
 import (
 	"context"
@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"testing"
 
+	"sdpolicy/internal/reducer"
 	"sdpolicy/internal/sched"
 	"sdpolicy/internal/workload"
 )
@@ -22,12 +23,24 @@ import (
 // milliseconds; cmd/sdexp runs the same experiments at larger scales.
 const benchScale = 0.05
 
+// testEngine is the engine this package's tests and benchmarks share,
+// so a point one of them simulated is a cache hit for the next.
+var testEngine = NewEngine(runtime.GOMAXPROCS(0), 512)
+
+// experiment runs a registry experiment on testEngine, failing tb on
+// error.
+func experiment[T any](tb testing.TB, name string, params reducer.Params) T {
+	tb.Helper()
+	v, err := RunExperiment[T](context.Background(), testEngine, name, params)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return v
+}
+
 func BenchmarkTable1_Workloads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := Table1(benchScale, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := experiment[[]Table1Row](b, "table1", reducer.Params{"scale": benchScale})
 		if i == 0 {
 			for _, r := range rows {
 				b.ReportMetric(r.AvgSlowdown, r.ID+"-slowdown")
@@ -38,10 +51,7 @@ func BenchmarkTable1_Workloads(b *testing.B) {
 
 func BenchmarkTable2_AppMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := Table2(1.0, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := experiment[[]Table2Row](b, "table2", reducer.Params{"scale": 1.0})
 		if i == 0 {
 			for _, r := range rows {
 				b.ReportMetric(r.SharePct, r.App+"-pct")
@@ -52,10 +62,7 @@ func BenchmarkTable2_AppMix(b *testing.B) {
 
 func BenchmarkFig1to3_MaxSDSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := SweepMaxSD([]string{"wl1", "wl2", "wl3", "wl4"}, benchScale, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := experiment[[]SweepRow](b, "sweep_maxsd", reducer.Params{"scale": benchScale})
 		if i == 0 {
 			for _, r := range rows {
 				if r.Variant == "MAXSD 10" {
@@ -68,10 +75,7 @@ func BenchmarkFig1to3_MaxSDSweep(b *testing.B) {
 
 func BenchmarkFig4to6_Heatmaps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		an, err := AnalyzeBigWorkload(benchScale, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		an := experiment[*BigAnalysis](b, "big_workload", reducer.Params{"scale": benchScale})
 		if i == 0 {
 			// headline: overall slowdown improvement of the analysed run
 			b.ReportMetric(an.Static.AvgSlowdown/an.SD.AvgSlowdown, "wl4-slowdown-ratio")
@@ -81,10 +85,7 @@ func BenchmarkFig4to6_Heatmaps(b *testing.B) {
 
 func BenchmarkFig7_Daily(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		an, err := AnalyzeBigWorkload(benchScale, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		an := experiment[*BigAnalysis](b, "big_workload", reducer.Params{"scale": benchScale})
 		if i == 0 {
 			b.ReportMetric(float64(an.SD.MalleableStarts)/float64(an.SD.Jobs)*100, "mall-starts-pct")
 			b.ReportMetric(float64(len(an.SDDaily)), "days")
@@ -94,10 +95,7 @@ func BenchmarkFig7_Daily(b *testing.B) {
 
 func BenchmarkFig8_RuntimeModels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := CompareRuntimeModels([]string{"wl1", "wl2", "wl3", "wl4"}, benchScale, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := experiment[[]ModelRow](b, "runtime_models", reducer.Params{"scale": benchScale})
 		if i == 0 {
 			for _, r := range rows {
 				b.ReportMetric(r.AvgResponse, fmt.Sprintf("%s-%s-resp-norm", r.Workload, r.Model))
@@ -108,10 +106,7 @@ func BenchmarkFig8_RuntimeModels(b *testing.B) {
 
 func BenchmarkFig9_RealRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := RealRunExperiment(0.25, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rep := experiment[*RealRunReport](b, "real_run", reducer.Params{"scale": 0.25})
 		if i == 0 {
 			b.ReportMetric(rep.MakespanPct, "makespan-improv-pct")
 			b.ReportMetric(rep.AvgSlowdownPct, "slowdown-improv-pct")
@@ -120,14 +115,11 @@ func BenchmarkFig9_RealRun(b *testing.B) {
 	}
 }
 
-// Ablation benchmarks for the design choices DESIGN.md §7 calls out.
+// Ablation benchmarks for the design choices of Sections 3.2-3.3.
 
 func BenchmarkAblation_SharingFactor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := AblateSharingFactor("wl1", benchScale, 1, []float64{0.25, 0.5, 0.75})
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := experiment[[]AblationRow](b, "ablate_sharing_factor", reducer.Params{"scale": benchScale})
 		if i == 0 {
 			for _, r := range rows {
 				b.ReportMetric(r.AvgSlowdown, "sf"+r.Value+"-slowdown-norm")
@@ -138,10 +130,7 @@ func BenchmarkAblation_SharingFactor(b *testing.B) {
 
 func BenchmarkAblation_MaxMates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := AblateMaxMates("wl1", benchScale, 1, []int{1, 2, 4})
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := experiment[[]AblationRow](b, "ablate_max_mates", reducer.Params{"scale": benchScale, "mates": []int{1, 2, 4}})
 		if i == 0 {
 			for _, r := range rows {
 				b.ReportMetric(r.AvgSlowdown, "m"+r.Value+"-slowdown-norm")
@@ -152,10 +141,7 @@ func BenchmarkAblation_MaxMates(b *testing.B) {
 
 func BenchmarkAblation_MalleableFraction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := AblateMalleableFraction("wl1", benchScale, 1, []float64{0.25, 0.5, 1})
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := experiment[[]AblationRow](b, "ablate_malleable_fraction", reducer.Params{"scale": benchScale, "fractions": []float64{0.25, 0.5, 1}})
 		if i == 0 {
 			for _, r := range rows {
 				b.ReportMetric(r.AvgSlowdown, "frac"+r.Value+"-slowdown-norm")
@@ -166,10 +152,7 @@ func BenchmarkAblation_MalleableFraction(b *testing.B) {
 
 func BenchmarkAblation_FreeNodeMixing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := AblateFreeNodeMixing("wl1", benchScale, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := experiment[[]AblationRow](b, "ablate_free_node_mixing", reducer.Params{"scale": benchScale})
 		if i == 0 {
 			for _, r := range rows {
 				b.ReportMetric(r.AvgSlowdown, "mix-"+r.Value+"-slowdown-norm")
@@ -186,6 +169,7 @@ func BenchmarkAblation_FreeNodeMixing(b *testing.B) {
 // sub-benchmark also reports points/s.
 func BenchmarkCampaignParallel(b *testing.B) {
 	workloads := []string{"wl1", "wl2", "wl3", "wl5"}
+	sweep := reducer.Params{"workloads": workloads, "scale": benchScale}
 	points := len(workloads) * (1 + len(MaxSDVariants()))
 	counts := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
@@ -196,7 +180,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 			engine := NewEngine(workers, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.SweepMaxSD(context.Background(), workloads, benchScale, 1); err != nil {
+				if _, err := RunExperiment[[]SweepRow](context.Background(), engine, "sweep_maxsd", sweep); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -209,13 +193,13 @@ func BenchmarkCampaignParallel(b *testing.B) {
 // iteration warms the cache, every sweep is pure cache hits.
 func BenchmarkCampaignCached(b *testing.B) {
 	engine := NewEngine(runtime.GOMAXPROCS(0), 128)
-	workloads := []string{"wl1", "wl2", "wl3", "wl5"}
-	if _, err := engine.SweepMaxSD(context.Background(), workloads, benchScale, 1); err != nil {
+	sweep := reducer.Params{"workloads": []string{"wl1", "wl2", "wl3", "wl5"}, "scale": benchScale}
+	if _, err := RunExperiment[[]SweepRow](context.Background(), engine, "sweep_maxsd", sweep); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.SweepMaxSD(context.Background(), workloads, benchScale, 1); err != nil {
+		if _, err := RunExperiment[[]SweepRow](context.Background(), engine, "sweep_maxsd", sweep); err != nil {
 			b.Fatal(err)
 		}
 	}

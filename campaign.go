@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"sdpolicy/internal/campaign"
 	"sdpolicy/internal/workload"
@@ -349,20 +347,6 @@ func simulatePoint(ctx context.Context, p Point) (*Result, error) {
 	}
 	w.derivs = derivs
 	return SimulateContext(ctx, w, p.Options)
-}
-
-var (
-	defaultEngine     *Engine
-	defaultEngineOnce sync.Once
-)
-
-// Default returns the process-wide Engine (GOMAXPROCS workers, 512
-// cached points) used by the package-level experiment functions.
-func Default() *Engine {
-	defaultEngineOnce.Do(func() {
-		defaultEngine = NewEngine(runtime.GOMAXPROCS(0), 512)
-	})
-	return defaultEngine
 }
 
 // Run resolves every point in parallel and returns results aligned

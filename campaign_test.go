@@ -5,15 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
+
+	"sdpolicy/internal/reducer"
 )
 
 const campaignTestScale = 0.08
 
 // sequentialSweepMaxSD replicates the pre-campaign sequential
-// implementation of SweepMaxSD verbatim: one workload at a time, the
-// static baseline first, then every variant, all on this goroutine.
+// implementation of the sweep_maxsd experiment verbatim: one workload
+// at a time, the static baseline first, then every variant, all on
+// this goroutine.
 // The campaign runner must reproduce its output exactly.
 func sequentialSweepMaxSD(workloads []string, scale float64, seed uint64) ([]SweepRow, error) {
 	var rows []SweepRow
@@ -52,7 +56,8 @@ func TestSweepMaxSDParallelMatchesSequentialReference(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		engine := NewEngine(workers, 64)
-		got, err := engine.SweepMaxSD(context.Background(), workloads, campaignTestScale, 1)
+		got, err := RunExperiment[[]SweepRow](context.Background(), engine, "sweep_maxsd",
+			reducer.Params{"workloads": workloads, "scale": campaignTestScale})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,58 +77,36 @@ func TestCampaignParallelEqualsSingleWorkerAcrossExperiments(t *testing.T) {
 	par := NewEngine(8, 128)
 	ctx := context.Background()
 
-	t.Run("runtime-models", func(t *testing.T) {
-		a, err := seq.CompareRuntimeModels(ctx, []string{"wl1"}, campaignTestScale, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := par.CompareRuntimeModels(ctx, []string{"wl1"}, campaignTestScale, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("row %d: %+v != %+v", i, a[i], b[i])
+	for _, tc := range []struct {
+		name, experiment string
+		params           reducer.Params
+	}{
+		{"runtime-models", "runtime_models", reducer.Params{"workloads": []string{"wl1"}}},
+		{"malleable-fraction", "ablate_malleable_fraction", reducer.Params{"fractions": []float64{0, 0.5, 1}}},
+		{"policies", "compare_policies", reducer.Params{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.params["scale"] = campaignTestScale
+			a, err := seq.Experiment(ctx, tc.experiment, tc.params)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
-	t.Run("malleable-fraction", func(t *testing.T) {
-		fracs := []float64{0, 0.5, 1}
-		a, err := seq.AblateMalleableFraction(ctx, "wl1", campaignTestScale, 1, fracs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := par.AblateMalleableFraction(ctx, "wl1", campaignTestScale, 1, fracs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("row %d: %+v != %+v", i, a[i], b[i])
+			b, err := par.Experiment(ctx, tc.experiment, tc.params)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
-	t.Run("policies", func(t *testing.T) {
-		a, err := seq.ComparePolicies(ctx, "wl1", campaignTestScale, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := par.ComparePolicies(ctx, "wl1", campaignTestScale, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("row %d: %+v != %+v", i, a[i], b[i])
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("parallel summary %+v != sequential %+v", b, a)
 			}
-		}
-	})
+		})
+	}
 }
 
 func TestCampaignBaselineSimulatesOnce(t *testing.T) {
 	engine := NewEngine(8, 64)
+	sweep := reducer.Params{"workloads": []string{"wl1"}, "scale": campaignTestScale}
 	// One sweep: per workload 1 baseline + 5 variants, all unique.
-	if _, err := engine.SweepMaxSD(context.Background(), []string{"wl1"}, campaignTestScale, 1); err != nil {
+	if _, err := engine.Experiment(context.Background(), "sweep_maxsd", sweep); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := engine.CacheStats()
@@ -135,7 +118,8 @@ func TestCampaignBaselineSimulatesOnce(t *testing.T) {
 	}
 	// An ablation on the same workload shares the canonical static
 	// baseline with the sweep: exactly one cached point is reused.
-	if _, err := engine.AblateSharingFactor(context.Background(), "wl1", campaignTestScale, 1, []float64{0.25}); err != nil {
+	if _, err := engine.Experiment(context.Background(), "ablate_sharing_factor",
+		reducer.Params{"scale": campaignTestScale, "factors": []float64{0.25}}); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses = engine.CacheStats()
@@ -146,7 +130,7 @@ func TestCampaignBaselineSimulatesOnce(t *testing.T) {
 		t.Fatalf("ablation simulated %d new points, want 1 (total 7, got %d)", misses-6, misses)
 	}
 	// Re-running the full sweep is now 100% cache hits.
-	if _, err := engine.SweepMaxSD(context.Background(), []string{"wl1"}, campaignTestScale, 1); err != nil {
+	if _, err := engine.Experiment(context.Background(), "sweep_maxsd", sweep); err != nil {
 		t.Fatal(err)
 	}
 	_, misses = engine.CacheStats()
@@ -183,7 +167,8 @@ func TestCampaignCancellation(t *testing.T) {
 	engine := NewEngine(2, 16)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancel before the campaign starts: no point may simulate
-	_, err := engine.SweepMaxSD(ctx, []string{"wl1", "wl2"}, campaignTestScale, 1)
+	_, err := engine.Experiment(ctx, "sweep_maxsd",
+		reducer.Params{"workloads": []string{"wl1", "wl2"}, "scale": campaignTestScale})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -246,7 +231,8 @@ func TestCampaignProgressAndConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := engine.SweepMaxSD(context.Background(), []string{"wl1"}, campaignTestScale, 1); err != nil {
+			if _, err := engine.Experiment(context.Background(), "sweep_maxsd",
+				reducer.Params{"workloads": []string{"wl1"}, "scale": campaignTestScale}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -275,12 +261,14 @@ func TestDeriveSeedReplicateZeroIsBase(t *testing.T) {
 	}
 }
 
-func ExampleEngine_SweepMaxSD() {
+func ExampleEngine_Experiment() {
 	engine := NewEngine(4, 64)
-	rows, err := engine.SweepMaxSD(context.Background(), []string{"wl5"}, 0.15, 1)
+	summary, err := engine.Experiment(context.Background(), "sweep_maxsd",
+		reducer.Params{"workloads": []string{"wl5"}, "scale": 0.15})
 	if err != nil {
 		panic(err)
 	}
+	rows := summary.([]SweepRow)
 	fmt.Println("rows:", len(rows))
 	fmt.Println("improved:", rows[1].AvgSlowdown < 1)
 	// Output:

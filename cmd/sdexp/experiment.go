@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -22,11 +21,12 @@ import (
 // identical output — which is exactly what the CI experiments gate
 // diffs.
 
-// runExperiment runs the named registry experiment. With serverList
-// (comma-separated equivalent sdserve bases) the experiment is created
-// as a /v1/experiments resource and the terminal summary frame is
-// decoded back into the experiment's Go result type; otherwise the
-// local engine simulates it. Both paths render identically.
+// runExperiment runs the named registry experiment and renders it on
+// stdout. With serverList (comma-separated equivalent sdserve bases)
+// the experiment is created as a /v1/experiments resource and the
+// terminal summary frame is decoded through the experiment's
+// descriptor; otherwise the local engine simulates it. Both paths
+// render identically.
 func (r *runner) runExperiment(name, serverList string) error {
 	if name == "list" {
 		for _, d := range sdpolicy.Experiments().List() {
@@ -38,8 +38,39 @@ func (r *runner) runExperiment(name, serverList string) error {
 	if d == nil {
 		return fmt.Errorf("unknown experiment %q (-experiment list prints the registry)", name)
 	}
-	// Carry the -scale/-seed flags into whichever of the experiment's
-	// parameters they correspond to; everything else runs on defaults.
+	return r.experiment(os.Stdout, d, splitList(serverList))
+}
+
+// experiment runs one registry experiment — remotely on bases when
+// there are any — and renders its summary on w.
+func (r *runner) experiment(w io.Writer, d *sdpolicy.ExperimentDescriptor, bases []string) error {
+	params, err := r.params(d)
+	if err != nil {
+		return err
+	}
+	var result any
+	if len(bases) > 0 {
+		raw, err := serve.RunRemoteExperiment(r.ctx, http.DefaultClient, bases, d.Name, params, nil)
+		if err != nil {
+			return err
+		}
+		result, err = d.DecodeSummary(raw)
+		if err != nil {
+			return err
+		}
+	} else {
+		result, err = r.engine.Experiment(r.ctx, d.Name, params)
+		if err != nil {
+			return err
+		}
+	}
+	return renderExperiment(w, result)
+}
+
+// params binds the -scale, -seed and -trace flags to whichever of the
+// experiment's parameters they name; every other parameter keeps its
+// registry default.
+func (r *runner) params(d *sdpolicy.ExperimentDescriptor) (reducer.Params, error) {
 	params := reducer.Params{}
 	for _, ps := range d.Params {
 		switch ps.Name {
@@ -47,86 +78,22 @@ func (r *runner) runExperiment(name, serverList string) error {
 			params["scale"] = r.scale
 		case "seed":
 			params["seed"] = r.seed
-		}
-	}
-	var result any
-	if serverList != "" {
-		var bases []string
-		for _, b := range strings.Split(serverList, ",") {
-			if b = strings.TrimSpace(b); b != "" {
-				bases = append(bases, b)
+		case "trace":
+			switch len(r.traces) {
+			case 0:
+				// Left to the experiment, which reports the missing trace.
+			case 1:
+				params["trace"] = r.traces[0]
+			default:
+				return nil, fmt.Errorf("experiment %s replays one trace; -trace registered %d", d.Name, len(r.traces))
 			}
 		}
-		raw, err := serve.RunRemoteExperiment(r.ctx, http.DefaultClient, bases, name, params, nil)
-		if err != nil {
-			return err
-		}
-		result, err = decodeExperimentSummary(name, raw)
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		result, err = r.engine.Experiment(r.ctx, name, params)
-		if err != nil {
-			return err
-		}
 	}
-	return renderExperiment(os.Stdout, result)
+	return params, nil
 }
 
-// decodeExperimentSummary decodes a terminal summary frame's raw JSON
-// into the experiment's Go result type, so the remote path renders
-// through exactly the code the local path uses.
-func decodeExperimentSummary(name string, raw json.RawMessage) (any, error) {
-	decode := func(v any) (any, error) {
-		if err := json.Unmarshal(raw, v); err != nil {
-			return nil, fmt.Errorf("experiment %s summary: %w", name, err)
-		}
-		return v, nil
-	}
-	switch name {
-	case "table1":
-		v, err := decode(&[]sdpolicy.Table1Row{})
-		if err != nil {
-			return nil, err
-		}
-		return *v.(*[]sdpolicy.Table1Row), nil
-	case "table2":
-		v, err := decode(&[]sdpolicy.Table2Row{})
-		if err != nil {
-			return nil, err
-		}
-		return *v.(*[]sdpolicy.Table2Row), nil
-	case "sweep_maxsd":
-		v, err := decode(&[]sdpolicy.SweepRow{})
-		if err != nil {
-			return nil, err
-		}
-		return *v.(*[]sdpolicy.SweepRow), nil
-	case "runtime_models":
-		v, err := decode(&[]sdpolicy.ModelRow{})
-		if err != nil {
-			return nil, err
-		}
-		return *v.(*[]sdpolicy.ModelRow), nil
-	case "big_workload":
-		return decode(&sdpolicy.BigAnalysis{})
-	case "real_run":
-		return decode(&sdpolicy.RealRunReport{})
-	default:
-		// Every ablation family (and compare_policies) reduces to rows.
-		v, err := decode(&[]sdpolicy.AblationRow{})
-		if err != nil {
-			return nil, err
-		}
-		return *v.(*[]sdpolicy.AblationRow), nil
-	}
-}
-
-// renderExperiment dispatches on the experiment's result type. The
-// render functions are shared with the legacy -exp runners, so the two
-// modes can never drift apart on formatting.
+// renderExperiment dispatches on the experiment's summary type, for
+// -experiment and -exp alike.
 func renderExperiment(w io.Writer, result any) error {
 	switch v := result.(type) {
 	case []sdpolicy.Table1Row:

@@ -1,15 +1,20 @@
 // Command sdexp regenerates every table and figure of the paper's
-// evaluation section (see DESIGN.md §5 for the experiment index):
+// evaluation section. Each -exp group runs experiments of the shared
+// registry (-experiment list prints it) on their default parameters:
 //
-//	table1  workload inventory + static baseline aggregates
-//	table2  real-run application mix
-//	fig1-3  makespan / response / slowdown vs MAX_SLOWDOWN, WL1-4
-//	fig4-6  category heatmaps static/SD on the Curie-like workload
-//	fig7    per-day slowdown series + malleable starts
-//	fig8    ideal vs worst-case runtime model
-//	fig9    real-run emulation (application model + energy)
-//	ablations  design-choice sweeps (sharing factor, max mates,
+//	table1  table1: workload inventory + static baseline aggregates
+//	table2  table2: real-run application mix
+//	fig1-3  sweep_maxsd: makespan / response / slowdown vs
+//	        MAX_SLOWDOWN, WL1-4
+//	fig4-7  big_workload: category heatmaps static/SD on the
+//	        Curie-like workload, per-day slowdown series
+//	fig8    runtime_models: ideal vs worst-case runtime model
+//	fig9    real_run: real-run emulation (application model + energy)
+//	ablations  the ablate_* sweeps on wl1 (sharing factor, max mates,
 //	           malleable fraction, free-node mixing, node features)
+//	           and compare_policies
+//
+// fig1, fig2 and fig3 name the fig1-3 group; fig4 to fig7 name fig4-7.
 //
 // The default -scale 0.1 keeps the full suite in the minutes range;
 // -scale 1 reproduces the paper's full workload sizes (wl4 alone then
@@ -37,8 +42,11 @@
 // compiles to an immutable workload addressable as trace:<digest>
 // anywhere a generator name is accepted (points files, workload_ref,
 // the real_trace experiment's trace parameter). The digest is printed
-// on stderr at registration. For -server runs the remote deployment
-// must hold the same traces (sdserve -trace-dir).
+// on stderr at registration. -experiment binds a single -trace to the
+// experiment's trace parameter, as it binds -scale and -seed:
+// `sdexp -trace f.swf -experiment real_trace` replays f.swf. For
+// -server runs the remote deployment must hold the same traces
+// (sdserve -trace-dir).
 //
 // -cache-dir dir persists the campaign result cache across runs: the
 // engine loads dir/campaign-cache.json on start and spills its memoised
@@ -93,6 +101,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -132,10 +141,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sdexp: -server requires -points or -experiment")
 		os.Exit(1)
 	}
-	for _, p := range strings.Split(*trace, ",") {
-		if p = strings.TrimSpace(p); p == "" {
-			continue
-		}
+	var traces []string
+	for _, p := range splitList(*trace) {
 		info, err := sdpolicy.RegisterTraceFile(p)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sdexp:", err)
@@ -143,6 +150,9 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "sdexp: registered trace %s as %s (%d jobs, %d nodes, %d cores)\n",
 			p, info.Ref, info.Jobs, info.Nodes, info.Cores)
+		if !slices.Contains(traces, info.Ref) {
+			traces = append(traces, info.Ref)
+		}
 	}
 	stopProfiles, perr := startProfiles(*cpuprofile, *memprofile)
 	if perr != nil {
@@ -211,14 +221,8 @@ func main() {
 		case *server != "":
 			err = errors.New("-merge-cache has no effect with -server: the remote engine never sees the merged cache")
 		default:
-			var paths []string
-			for _, p := range strings.Split(*mergeCache, ",") {
-				if p = strings.TrimSpace(p); p != "" {
-					paths = append(paths, p)
-				}
-			}
 			var stats sdpolicy.CacheMergeStats
-			stats, err = engine.MergeCache(paths...)
+			stats, err = engine.MergeCache(splitList(*mergeCache)...)
 			for _, c := range stats.Conflicts {
 				fmt.Fprintln(os.Stderr, "sdexp: cache conflict:", c)
 			}
@@ -228,7 +232,7 @@ func main() {
 			}
 		}
 	}
-	runner := &runner{ctx: ctx, engine: engine, scale: *scale, seed: *seed, outDir: *outDir}
+	runner := &runner{ctx: ctx, engine: engine, scale: *scale, seed: *seed, traces: traces, outDir: *outDir}
 	switch {
 	case err != nil:
 	case *points != "":
@@ -437,12 +441,7 @@ func parseShard(spec string) (index, of int, err error) {
 // into engine's cache, making it spillable by SaveCache.
 func streamFromServer(ctx context.Context, serverList string, engine *sdpolicy.Engine, points []sdpolicy.Point, warm bool, updates chan<- sdpolicy.PointResult) error {
 	defer close(updates)
-	var bases []string
-	for _, b := range strings.Split(serverList, ",") {
-		if b = strings.TrimSpace(b); b != "" {
-			bases = append(bases, b)
-		}
-	}
+	bases := splitList(serverList)
 	var got map[int]*sdpolicy.Result
 	if warm {
 		got = make(map[int]*sdpolicy.Result, len(points))
@@ -479,43 +478,50 @@ type runner struct {
 	engine *sdpolicy.Engine
 	scale  float64
 	seed   uint64
+	// traces are the distinct refs of the -trace files, in flag order.
+	traces []string
 	outDir string
 }
 
+// splitList splits a comma-separated flag value, dropping blanks.
+func splitList(v string) []string {
+	var out []string
+	for _, s := range strings.Split(v, ",") {
+		if s = strings.TrimSpace(s); s != "" {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// groups maps each -exp name to the registry experiments it runs, in
+// output order; -exp all runs every group once.
+var groups = []struct {
+	name        string
+	aliases     []string
+	experiments []string
+}{
+	{"table1", nil, []string{"table1"}},
+	{"table2", nil, []string{"table2"}},
+	{"fig1-3", []string{"fig1", "fig2", "fig3"}, []string{"sweep_maxsd"}},
+	{"fig4-7", []string{"fig4", "fig5", "fig6", "fig7"}, []string{"big_workload"}},
+	{"fig8", nil, []string{"runtime_models"}},
+	{"fig9", nil, []string{"real_run"}},
+	{"ablations", nil, []string{"ablate_sharing_factor", "ablate_max_mates",
+		"ablate_malleable_fraction", "ablate_free_node_mixing", "ablate_node_features",
+		"compare_policies"}},
+}
+
+// run runs the -exp selection: each group's registry experiments on the
+// registry defaults plus -scale/-seed, rendered like -experiment under a
+// banner and a timing line.
 func (r *runner) run(exp string) error {
-	type experiment struct {
-		name string
-		fn   func(io.Writer) error
-	}
-	all := []experiment{
-		{"table1", r.table1},
-		{"table2", r.table2},
-		{"fig1-3", r.figs123},
-		{"fig4-6", r.figs456},
-		{"fig7", r.fig7},
-		{"fig8", r.fig8},
-		{"fig9", r.fig9},
-		{"ablations", r.ablations},
-	}
-	selected := map[string][]experiment{
-		"all":       all,
-		"table1":    {all[0]},
-		"table2":    {all[1]},
-		"fig1":      {all[2]},
-		"fig2":      {all[2]},
-		"fig3":      {all[2]},
-		"fig4":      {all[3]},
-		"fig5":      {all[3]},
-		"fig6":      {all[3]},
-		"fig7":      {all[4]},
-		"fig8":      {all[5]},
-		"fig9":      {all[6]},
-		"ablations": {all[7]},
-	}[exp]
-	if selected == nil {
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
-	for _, e := range selected {
+	matched := false
+	for _, g := range groups {
+		if exp != "all" && exp != g.name && !slices.Contains(g.aliases, exp) {
+			continue
+		}
+		matched = true
 		start := time.Now()
 		var sink io.Writer = os.Stdout
 		var file *os.File
@@ -524,120 +530,25 @@ func (r *runner) run(exp string) error {
 				return err
 			}
 			var err error
-			file, err = os.Create(filepath.Join(r.outDir, e.name+".txt"))
+			file, err = os.Create(filepath.Join(r.outDir, g.name+".txt"))
 			if err != nil {
 				return err
 			}
 			sink = io.MultiWriter(os.Stdout, file)
 		}
-		fmt.Fprintf(sink, "==== %s (scale %.2f, seed %d) ====\n", e.name, r.scale, r.seed)
-		if err := e.fn(sink); err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
+		fmt.Fprintf(sink, "==== %s (scale %.2f, seed %d) ====\n", g.name, r.scale, r.seed)
+		for _, name := range g.experiments {
+			if err := r.experiment(sink, sdpolicy.Experiments().Get(name), nil); err != nil {
+				return fmt.Errorf("%s: %w", g.name, err)
+			}
 		}
-		fmt.Fprintf(sink, "[%s done in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(sink, "[%s done in %v]\n\n", g.name, time.Since(start).Round(time.Millisecond))
 		if file != nil {
 			file.Close()
 		}
 	}
-	return nil
-}
-
-func (r *runner) table1(w io.Writer) error {
-	rows, err := r.engine.Table1(r.ctx, r.scale, r.seed)
-	if err != nil {
-		return err
+	if !matched {
+		return fmt.Errorf("unknown experiment %q", exp)
 	}
-	renderTable1(w, rows)
-	return nil
-}
-
-func (r *runner) table2(w io.Writer) error {
-	rows, err := r.engine.Table2(r.ctx, r.scale, r.seed)
-	if err != nil {
-		return err
-	}
-	renderTable2(w, rows)
-	return nil
-}
-
-func (r *runner) figs123(w io.Writer) error {
-	rows, err := r.engine.SweepMaxSD(r.ctx, []string{"wl1", "wl2", "wl3", "wl4"}, r.scale, r.seed)
-	if err != nil {
-		return err
-	}
-	renderSweep(w, rows)
-	return nil
-}
-
-func (r *runner) figs456(w io.Writer) error {
-	an, err := r.engine.AnalyzeBigWorkload(r.ctx, r.scale, r.seed)
-	if err != nil {
-		return err
-	}
-	renderBigHeatmaps(w, an)
-	return nil
-}
-
-func (r *runner) fig7(w io.Writer) error {
-	an, err := r.engine.AnalyzeBigWorkload(r.ctx, r.scale, r.seed)
-	if err != nil {
-		return err
-	}
-	renderBigDaily(w, an)
-	return nil
-}
-
-func (r *runner) fig8(w io.Writer) error {
-	rows, err := r.engine.CompareRuntimeModels(r.ctx, []string{"wl1", "wl2", "wl3", "wl4"}, r.scale, r.seed)
-	if err != nil {
-		return err
-	}
-	renderModels(w, rows)
-	return nil
-}
-
-func (r *runner) fig9(w io.Writer) error {
-	rep, err := r.engine.RealRunExperiment(r.ctx, r.scale, r.seed)
-	if err != nil {
-		return err
-	}
-	renderRealRun(w, rep)
-	return nil
-}
-
-func (r *runner) ablations(w io.Writer) error {
-	var all []sdpolicy.AblationRow
-	sf, err := r.engine.AblateSharingFactor(r.ctx, "wl1", r.scale, r.seed, []float64{0.25, 0.5, 0.75})
-	if err != nil {
-		return err
-	}
-	all = append(all, sf...)
-	mm, err := r.engine.AblateMaxMates(r.ctx, "wl1", r.scale, r.seed, []int{1, 2, 3, 4})
-	if err != nil {
-		return err
-	}
-	all = append(all, mm...)
-	mf, err := r.engine.AblateMalleableFraction(r.ctx, "wl1", r.scale, r.seed, []float64{0, 0.25, 0.5, 0.75, 1})
-	if err != nil {
-		return err
-	}
-	all = append(all, mf...)
-	fn, err := r.engine.AblateFreeNodeMixing(r.ctx, "wl1", r.scale, r.seed)
-	if err != nil {
-		return err
-	}
-	all = append(all, fn...)
-	nf, err := r.engine.AblateNodeFeatures(r.ctx, "wl1", r.scale, r.seed, []float64{0, 0.25, 0.5})
-	if err != nil {
-		return err
-	}
-	all = append(all, nf...)
-	pc, err := r.engine.ComparePolicies(r.ctx, "wl1", r.scale, r.seed)
-	if err != nil {
-		return err
-	}
-	all = append(all, pc...)
-	fmt.Fprintln(w, "wl1, normalised to static backfill (lower is better)")
-	renderAblationTable(w, all)
 	return nil
 }

@@ -8,7 +8,6 @@
 //
 //	POST /v1/simulate  {"workload":"wl1","scale":0.1,"seed":1,
 //	                    "options":{"policy":"sd","max_slowdown":10}}
-//	POST /v1/sweep     {"workloads":["wl1","wl2"],"scale":0.1,"seed":1}
 //	POST /v1/campaigns {"points":[{"workload":"wl1","scale":0.1,
 //	                    "options":{"policy":"sd"}}, ...]} — creates a
 //	                   campaign resource (201 + Location) that runs
@@ -27,8 +26,8 @@
 //	                   named experiment's reduced rows (201 + Location)
 //	GET  /v1/experiments/{id}?from=<seq>  attach to the experiment's
 //	                   row stream (SSE or NDJSON); the terminal frame
-//	                   carries the same summary the local Engine
-//	                   helper returns, byte for byte
+//	                   carries the same summary a local
+//	                   Engine.Experiment returns, byte for byte
 //	DELETE /v1/experiments/{id}         cancel
 //	POST /v1/campaign  deprecated byte-compatible alias: one-shot
 //	                   streaming campaign tied to the connection;
@@ -77,7 +76,7 @@
 //     spill on shutdown warms later local sdexp runs (fig4-9 analyses
 //     too).
 //
-// /v1/simulate and /v1/sweep keep running on the local engine;
+// /v1/simulate keeps running on the local engine;
 // /healthz reports per-peer fleet state (alive|dead|probing,
 // consecutive failures, last error, remaining lease).
 package main

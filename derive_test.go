@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sdpolicy/internal/reducer"
 	"sdpolicy/internal/workload"
 )
 
@@ -135,8 +136,8 @@ func TestAblationGeneratesBaseWorkloadOnce(t *testing.T) {
 	const seed uint64 = 987654321
 	_, before := workload.Shared.Stats()
 	engine := NewEngine(4, 64)
-	rows, err := engine.AblateMalleableFraction(context.Background(), "wl5", 0.2, seed,
-		[]float64{0, 0.25, 0.5, 0.75, 1})
+	rows, err := RunExperiment[[]AblationRow](context.Background(), engine, "ablate_malleable_fraction",
+		reducer.Params{"workload": "wl5", "scale": 0.2, "seed": seed, "fractions": []float64{0, 0.25, 0.5, 0.75, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +152,8 @@ func TestAblationGeneratesBaseWorkloadOnce(t *testing.T) {
 	// Same property for the heterogeneous node-feature ablation, whose
 	// variants stack two derivations per point.
 	_, before = workload.Shared.Stats()
-	if _, err := engine.AblateNodeFeatures(context.Background(), "wl5", 0.2, seed+1,
-		[]float64{0, 0.25, 0.5}); err != nil {
+	if _, err := engine.Experiment(context.Background(), "ablate_node_features",
+		reducer.Params{"workload": "wl5", "scale": 0.2, "seed": seed + 1, "fractions": []float64{0, 0.25, 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	_, after = workload.Shared.Stats()

@@ -1,7 +1,9 @@
 package sdpolicy_test
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 
 	"sdpolicy"
 )
@@ -27,9 +29,12 @@ func Example() {
 	// jobs co-scheduled malleably: true
 }
 
-// Sweeping the MAX_SLOWDOWN cut-off reproduces Figures 1-3.
-func ExampleSweepMaxSD() {
-	rows, err := sdpolicy.SweepMaxSD([]string{"wl5"}, 0.15, 1)
+// Sweeping the MAX_SLOWDOWN cut-off reproduces Figures 1-3: the
+// sweep_maxsd registry experiment, whose summary is a []SweepRow.
+func ExampleRunExperiment() {
+	engine := sdpolicy.NewEngine(runtime.GOMAXPROCS(0), 64)
+	rows, err := sdpolicy.RunExperiment[[]sdpolicy.SweepRow](context.Background(), engine,
+		"sweep_maxsd", map[string]any{"workloads": []string{"wl5"}, "scale": 0.15, "seed": 1})
 	if err != nil {
 		panic(err)
 	}
@@ -45,8 +50,10 @@ func ExampleSweepMaxSD() {
 }
 
 // The real-run experiment reproduces Figure 9's four improvement bars.
-func ExampleRealRunExperiment() {
-	rep, err := sdpolicy.RealRunExperiment(0.3, 1)
+func ExampleRunExperiment_realRun() {
+	engine := sdpolicy.NewEngine(runtime.GOMAXPROCS(0), 64)
+	rep, err := sdpolicy.RunExperiment[*sdpolicy.RealRunReport](context.Background(), engine,
+		"real_run", map[string]any{"scale": 0.3})
 	if err != nil {
 		panic(err)
 	}

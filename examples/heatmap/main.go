@@ -6,15 +6,19 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
+	"runtime"
 
 	"sdpolicy"
 )
 
 func main() {
-	an, err := sdpolicy.AnalyzeBigWorkload(0.05, 1)
+	engine := sdpolicy.NewEngine(runtime.GOMAXPROCS(0), 16)
+	an, err := sdpolicy.RunExperiment[*sdpolicy.BigAnalysis](context.Background(), engine,
+		"big_workload", map[string]any{"scale": 0.05})
 	if err != nil {
 		log.Fatal(err)
 	}

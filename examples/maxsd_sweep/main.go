@@ -6,15 +6,19 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"runtime"
 
 	"sdpolicy"
 )
 
 func main() {
 	// Figures 1-3 sweep wl1-wl4; one workload keeps the example quick.
-	rows, err := sdpolicy.SweepMaxSD([]string{"wl1"}, 0.15, 1)
+	engine := sdpolicy.NewEngine(runtime.GOMAXPROCS(0), 16)
+	rows, err := sdpolicy.RunExperiment[[]sdpolicy.SweepRow](context.Background(), engine,
+		"sweep_maxsd", map[string]any{"workloads": []string{"wl1"}, "scale": 0.15})
 	if err != nil {
 		log.Fatal(err)
 	}

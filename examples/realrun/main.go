@@ -7,8 +7,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"runtime"
 	"sort"
 
 	"sdpolicy"
@@ -32,7 +34,9 @@ func main() {
 		fmt.Printf("  %-12s %5.1f%%\n", app, 100*shares[app])
 	}
 
-	rep, err := sdpolicy.RealRunExperiment(1.0, 1)
+	engine := sdpolicy.NewEngine(runtime.GOMAXPROCS(0), 16)
+	rep, err := sdpolicy.RunExperiment[*sdpolicy.RealRunReport](context.Background(), engine,
+		"real_run", map[string]any{"scale": 1.0})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,14 +6,18 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"runtime"
 
 	"sdpolicy"
 )
 
 func main() {
-	rows, err := sdpolicy.CompareRuntimeModels([]string{"wl1", "wl2"}, 0.15, 1)
+	engine := sdpolicy.NewEngine(runtime.GOMAXPROCS(0), 16)
+	rows, err := sdpolicy.RunExperiment[[]sdpolicy.ModelRow](context.Background(), engine,
+		"runtime_models", map[string]any{"workloads": []string{"wl1", "wl2"}, "scale": 0.15})
 	if err != nil {
 		log.Fatal(err)
 	}

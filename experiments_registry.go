@@ -2,6 +2,7 @@ package sdpolicy
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
 	"sdpolicy/internal/reducer"
@@ -9,12 +10,13 @@ import (
 
 // The experiment registry: every figure- and table-level experiment of
 // the paper as a declarative reducer descriptor — a parameterised
-// point-set generator plus an incremental fold turning streamed
-// PointResults into rows and a terminal summary. One registry drives
-// both the typed Engine helpers below (Engine.Experiment folds a local
-// campaign) and the sdserve /v1/experiments plane (the server folds
-// journaled result frames and ships rows + summary instead of raw
-// points), so the two can never drift apart.
+// point-set generator, an incremental fold turning streamed
+// PointResults into rows and a terminal summary, and the summary's Go
+// type. It is the only definition of an experiment: Engine.Experiment
+// and RunExperiment fold a local campaign, the sdserve /v1/experiments
+// plane folds journaled result frames and ships rows + summary instead
+// of raw points, and remote clients decode that summary through the
+// same descriptor, so no two paths can drift apart.
 
 // ExperimentDescriptor is the registry's concrete descriptor type.
 type ExperimentDescriptor = reducer.Descriptor[Point, *Result]
@@ -31,7 +33,7 @@ var experimentRegistry = newExperimentRegistry()
 // resolve parameters, simulate the instance's point set as a campaign,
 // fold every result in input order, and return the typed summary
 // ([]SweepRow, *BigAnalysis, ... depending on the experiment). It is
-// the single execution path behind every typed Engine helper.
+// the single execution path behind RunExperiment.
 func (e *Engine) Experiment(ctx context.Context, name string, params reducer.Params) (any, error) {
 	d := experimentRegistry.Get(name)
 	if d == nil {
@@ -61,6 +63,27 @@ func (e *Engine) Experiment(ctx context.Context, name string, params reducer.Par
 	return inst.Summary()
 }
 
+// RunExperiment runs the named registry experiment on e and returns its
+// summary as a T: []Table1Row for table1, []SweepRow for sweep_maxsd,
+// *BigAnalysis for big_workload, and so on. Omitted params take the
+// descriptor's defaults. A T that is not the experiment's summary type
+// is an error.
+//
+//	rows, err := sdpolicy.RunExperiment[[]sdpolicy.SweepRow](ctx, engine,
+//		"sweep_maxsd", map[string]any{"workloads": []string{"wl1"}, "scale": 0.1})
+func RunExperiment[T any](ctx context.Context, e *Engine, name string, params reducer.Params) (T, error) {
+	var zero T
+	v, err := e.Experiment(ctx, name, params)
+	if err != nil {
+		return zero, err
+	}
+	t, ok := v.(T)
+	if !ok {
+		return zero, fmt.Errorf("sdpolicy: experiment %s summarises to %T, not %T", name, v, zero)
+	}
+	return t, nil
+}
+
 // Shared parameter specs. Scale and seed default to the sdexp
 // conventions (0.1 keeps the full suite in the minutes range; -scale 1
 // reproduces the paper's workload sizes).
@@ -85,60 +108,83 @@ func workloadsParam() reducer.ParamSpec {
 		Description: "workload presets swept, in output order"}
 }
 
+// register adds d to r with its summary type fixed to T, the type build's
+// fold summarises to. That is the one place an experiment's summary type
+// is declared: New returns build's fold (wrapped for report folding when
+// d.NeedsReports), and DecodeSummary decodes a summary's JSON back into a
+// T.
+func register[T any](r *reducer.Registry[Point, *Result], d ExperimentDescriptor, build func(reducer.Params) (*expInstance[T], error)) {
+	d.New = func(p reducer.Params) (ExperimentInstance, error) {
+		x, err := build(p)
+		if err != nil {
+			return nil, err
+		}
+		if d.NeedsReports {
+			return &reportedInstance[T]{x}, nil
+		}
+		return x, nil
+	}
+	d.DecodeSummary = func(data []byte) (any, error) {
+		var v T
+		if err := json.Unmarshal(data, &v); err != nil {
+			return nil, fmt.Errorf("sdpolicy: experiment %s summary: %w", d.Name, err)
+		}
+		return v, nil
+	}
+	r.Register(&d)
+}
+
 func newExperimentRegistry() *reducer.Registry[Point, *Result] {
 	r := reducer.NewRegistry[Point, *Result]()
-	r.Register(&ExperimentDescriptor{
+	register(r, ExperimentDescriptor{
 		Name:   "table1",
 		Title:  "Table 1: workload inventory + static baseline aggregates",
 		Params: []reducer.ParamSpec{scaleParam(), seedParam()},
-		New: func(p reducer.Params) (ExperimentInstance, error) {
-			return table1Instance(p.Float("scale"), p.Uint("seed")), nil
-		},
+	}, func(p reducer.Params) (*expInstance[[]Table1Row], error) {
+		return table1Instance(p.Float("scale"), p.Uint("seed")), nil
 	})
-	r.Register(&ExperimentDescriptor{
+	register(r, ExperimentDescriptor{
 		Name:        "table2",
 		Title:       "Table 2: real-run application mix",
 		Description: "generation only — no simulation points",
 		Params:      []reducer.ParamSpec{scaleParam(), seedParam()},
-		New: func(p reducer.Params) (ExperimentInstance, error) {
-			return table2Instance(p.Float("scale"), p.Uint("seed")), nil
-		},
+	}, func(p reducer.Params) (*expInstance[[]Table2Row], error) {
+		return table2Instance(p.Float("scale"), p.Uint("seed")), nil
 	})
-	r.Register(&ExperimentDescriptor{
+	register(r, ExperimentDescriptor{
 		Name:   "sweep_maxsd",
 		Title:  "Figures 1-3: makespan/response/slowdown vs MAX_SLOWDOWN",
 		Params: []reducer.ParamSpec{workloadsParam(), scaleParam(), seedParam()},
-		New: func(p reducer.Params) (ExperimentInstance, error) {
-			return sweepInstance(p.Strings("workloads"), p.Float("scale"), p.Uint("seed")), nil
-		},
+	}, func(p reducer.Params) (*expInstance[[]SweepRow], error) {
+		return sweepInstance(p.Strings("workloads"), p.Float("scale"), p.Uint("seed")), nil
 	})
-	r.Register(&ExperimentDescriptor{
+	register(r, ExperimentDescriptor{
 		Name:   "runtime_models",
 		Title:  "Figure 8: DynAVGSD under the ideal vs worst-case runtime model",
 		Params: []reducer.ParamSpec{workloadsParam(), scaleParam(), seedParam()},
-		New: func(p reducer.Params) (ExperimentInstance, error) {
-			return modelsInstance(p.Strings("workloads"), p.Float("scale"), p.Uint("seed")), nil
-		},
+	}, func(p reducer.Params) (*expInstance[[]ModelRow], error) {
+		return modelsInstance(p.Strings("workloads"), p.Float("scale"), p.Uint("seed")), nil
 	})
-	r.Register(&ExperimentDescriptor{
+	register(r, ExperimentDescriptor{
 		Name:         "big_workload",
 		Title:        "Figures 4-7: static vs SD(MAXSD 10) on the Curie-like workload",
 		Description:  "category heatmaps and per-day series; needs per-job reports",
 		Params:       []reducer.ParamSpec{scaleParam(), seedParam()},
 		NeedsReports: true,
-		New: func(p reducer.Params) (ExperimentInstance, error) {
-			return bigWorkloadInstance(p.Float("scale"), p.Uint("seed")), nil
-		},
+	}, func(p reducer.Params) (*expInstance[*BigAnalysis], error) {
+		return bigWorkloadInstance(p.Float("scale"), p.Uint("seed")), nil
 	})
-	r.Register(&ExperimentDescriptor{
+	register(r, ExperimentDescriptor{
 		Name:   "real_run",
 		Title:  "Figure 9: real-run emulation (application model + energy)",
 		Params: []reducer.ParamSpec{scaleParam(), seedParam()},
-		New: func(p reducer.Params) (ExperimentInstance, error) {
-			return realRunInstance(p.Float("scale"), p.Uint("seed")), nil
-		},
+	}, func(p reducer.Params) (*expInstance[*RealRunReport], error) {
+		scale, seed := p.Float("scale"), p.Uint("seed")
+		return realRunInstance(
+			NewPoint("wl5", scale, seed, Options{Policy: "static", Model: "app"}),
+			NewPoint("wl5", scale, seed, Options{Policy: "sd", DynamicCutoff: "avg", Model: "app"})), nil
 	})
-	r.Register(&ExperimentDescriptor{
+	register(r, ExperimentDescriptor{
 		Name:        "real_trace",
 		Title:       "Real-trace replay: static vs SD on a registered SWF trace scenario",
 		Description: "replays a registered trace (see -trace / -trace-dir) under scenario derivations: arrival-rate scaling, malleable share, optional QoS striping",
@@ -156,106 +202,97 @@ func newExperimentRegistry() *reducer.Registry[Point, *Result] {
 			{Name: "max_slowdown", Type: reducer.TypeFloat, Default: 10.0,
 				Description: "SD variant's MAX_SLOWDOWN cut-off"},
 		},
-		New: func(p reducer.Params) (ExperimentInstance, error) {
-			return realTraceInstance(p)
-		},
-	})
-	r.Register(&ExperimentDescriptor{
+	}, realTraceInstance)
+	register(r, ExperimentDescriptor{
 		Name:  "ablate_sharing_factor",
 		Title: "Ablation: SharingFactor sweep",
 		Params: []reducer.ParamSpec{workloadParam(), scaleParam(), seedParam(),
 			{Name: "factors", Type: reducer.TypeFloats, Default: []float64{0.25, 0.5, 0.75},
 				Description: "SharingFactor values swept"}},
-		New: func(p reducer.Params) (ExperimentInstance, error) {
-			name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
-			factors := p.Floats("factors")
-			return ablateInstance("sharing-factor", name, scale, seed,
-				floatValues("%.2f", factors), func(i int) Point {
-					return NewPoint(name, scale, seed, Options{Policy: "sd", SharingFactor: factors[i]})
-				}), nil
-		},
+	}, func(p reducer.Params) (*expInstance[[]AblationRow], error) {
+		name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
+		factors := p.Floats("factors")
+		return ablateInstance("sharing-factor", name, scale, seed,
+			floatValues("%.2f", factors), func(i int) Point {
+				return NewPoint(name, scale, seed, Options{Policy: "sd", SharingFactor: factors[i]})
+			}), nil
 	})
-	r.Register(&ExperimentDescriptor{
+	register(r, ExperimentDescriptor{
 		Name:  "ablate_max_mates",
 		Title: "Ablation: mate combination bound sweep",
 		Params: []reducer.ParamSpec{workloadParam(), scaleParam(), seedParam(),
 			{Name: "mates", Type: reducer.TypeInts, Default: []int{1, 2, 3, 4},
 				Description: "m, the mate combination bound values swept"}},
-		New: func(p reducer.Params) (ExperimentInstance, error) {
-			name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
-			ms := p.Ints("mates")
-			values := make([]string, len(ms))
-			for i, m := range ms {
-				values[i] = fmt.Sprintf("%d", m)
-			}
-			return ablateInstance("max-mates", name, scale, seed, values, func(i int) Point {
-				return NewPoint(name, scale, seed, Options{Policy: "sd", MaxMates: ms[i]})
-			}), nil
-		},
+	}, func(p reducer.Params) (*expInstance[[]AblationRow], error) {
+		name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
+		ms := p.Ints("mates")
+		values := make([]string, len(ms))
+		for i, m := range ms {
+			values[i] = fmt.Sprintf("%d", m)
+		}
+		return ablateInstance("max-mates", name, scale, seed, values, func(i int) Point {
+			return NewPoint(name, scale, seed, Options{Policy: "sd", MaxMates: ms[i]})
+		}), nil
 	})
-	r.Register(&ExperimentDescriptor{
+	register(r, ExperimentDescriptor{
 		Name:  "ablate_malleable_fraction",
 		Title: "Ablation: malleable share of a mixed rigid/malleable workload",
 		Params: []reducer.ParamSpec{workloadParam(), scaleParam(), seedParam(),
 			{Name: "fractions", Type: reducer.TypeFloats, Default: []float64{0, 0.25, 0.5, 0.75, 1},
 				Description: "malleable job fractions swept"}},
-		New: func(p reducer.Params) (ExperimentInstance, error) {
-			name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
-			fracs := p.Floats("fractions")
-			return ablateInstance("malleable-fraction", name, scale, seed,
-				floatValues("%.2f", fracs), func(i int) Point {
-					pt := NewPoint(name, scale, seed, Options{Policy: "sd"})
-					pt.MalleableFraction = fracs[i]
-					return pt
-				}), nil
-		},
+	}, func(p reducer.Params) (*expInstance[[]AblationRow], error) {
+		name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
+		fracs := p.Floats("fractions")
+		return ablateInstance("malleable-fraction", name, scale, seed,
+			floatValues("%.2f", fracs), func(i int) Point {
+				pt := NewPoint(name, scale, seed, Options{Policy: "sd"})
+				pt.MalleableFraction = fracs[i]
+				return pt
+			}), nil
 	})
-	r.Register(&ExperimentDescriptor{
+	register(r, ExperimentDescriptor{
 		Name:        "ablate_node_features",
 		Title:       "Ablation: constrained-job share on a heterogeneous machine",
 		Description: "half the nodes carry the feature; the swept fraction of jobs requires it",
 		Params: []reducer.ParamSpec{workloadParam(), scaleParam(), seedParam(),
 			{Name: "fractions", Type: reducer.TypeFloats, Default: []float64{0, 0.25, 0.5},
 				Description: "constrained job fractions swept"}},
-		New: func(p reducer.Params) (ExperimentInstance, error) {
-			const feature = "bigmem"
-			name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
-			fracs := p.Floats("fractions")
-			return ablateInstance("node-features", name, scale, seed,
-				floatValues("%.2f", fracs), func(i int) Point {
-					return NewDerivedPoint(name, scale, seed, Options{Policy: "sd"},
-						TagNodesDerivation(feature, 0.5),
-						RequireFeatureDerivation(feature, fracs[i]))
-				}), nil
-		},
+	}, func(p reducer.Params) (*expInstance[[]AblationRow], error) {
+		const feature = "bigmem"
+		name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
+		fracs := p.Floats("fractions")
+		return ablateInstance("node-features", name, scale, seed,
+			floatValues("%.2f", fracs), func(i int) Point {
+				return NewDerivedPoint(name, scale, seed, Options{Policy: "sd"},
+					TagNodesDerivation(feature, 0.5),
+					RequireFeatureDerivation(feature, fracs[i]))
+			}), nil
 	})
-	r.Register(&ExperimentDescriptor{
+	register(r, ExperimentDescriptor{
 		Name:   "ablate_free_node_mixing",
 		Title:  "Ablation: mate selection with and without free nodes",
 		Params: []reducer.ParamSpec{workloadParam(), scaleParam(), seedParam()},
-		New: func(p reducer.Params) (ExperimentInstance, error) {
-			name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
-			mixes := []bool{false, true}
-			values := make([]string, len(mixes))
-			for i, mix := range mixes {
-				values[i] = fmt.Sprintf("%v", mix)
-			}
-			return ablateInstance("free-node-mixing", name, scale, seed, values, func(i int) Point {
-				return NewPoint(name, scale, seed, Options{Policy: "sd", IncludeFreeNodes: mixes[i]})
-			}), nil
-		},
+	}, func(p reducer.Params) (*expInstance[[]AblationRow], error) {
+		name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
+		mixes := []bool{false, true}
+		values := make([]string, len(mixes))
+		for i, mix := range mixes {
+			values[i] = fmt.Sprintf("%v", mix)
+		}
+		return ablateInstance("free-node-mixing", name, scale, seed, values, func(i int) Point {
+			return NewPoint(name, scale, seed, Options{Policy: "sd", IncludeFreeNodes: mixes[i]})
+		}), nil
 	})
-	r.Register(&ExperimentDescriptor{
+	register(r, ExperimentDescriptor{
 		Name:   "compare_policies",
 		Title:  "Policy comparison: static backfill vs oversubscription vs SD-Policy",
 		Params: []reducer.ParamSpec{workloadParam(), scaleParam(), seedParam()},
-		New: func(p reducer.Params) (ExperimentInstance, error) {
-			name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
-			policies := []string{"static", "oversubscribe", "sd"}
-			return ablateInstance("policy", name, scale, seed, policies, func(i int) Point {
-				return NewPoint(name, scale, seed, Options{Policy: policies[i]})
-			}), nil
-		},
+	}, func(p reducer.Params) (*expInstance[[]AblationRow], error) {
+		name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
+		policies := []string{"static", "oversubscribe", "sd"}
+		return ablateInstance("policy", name, scale, seed, policies, func(i int) Point {
+			return NewPoint(name, scale, seed, Options{Policy: policies[i]})
+		}), nil
 	})
 	return r
 }
@@ -271,17 +308,17 @@ func floatValues(format string, vals []float64) []string {
 // expInstance is the shared fold shape: a fixed point set, results
 // collected by position, and per-experiment emit/summary hooks reading
 // the collected results. emit returns the rows that became computable
-// when position i landed; summary the complete ordered result.
-type expInstance struct {
+// when position i landed; summary the complete ordered result, a T.
+type expInstance[T any] struct {
 	points  []Point
 	results []*Result
 	emit    func(i int) ([]any, error)
-	summary func() (any, error)
+	summary func() (T, error)
 }
 
-func (x *expInstance) Points() []Point { return x.points }
+func (x *expInstance[T]) Points() []Point { return x.points }
 
-func (x *expInstance) Fold(i int, res *Result) ([]any, error) {
+func (x *expInstance[T]) Fold(i int, res *Result) ([]any, error) {
 	if i < 0 || i >= len(x.results) {
 		return nil, fmt.Errorf("sdpolicy: fold index %d out of range [0,%d)", i, len(x.results))
 	}
@@ -300,24 +337,28 @@ func (x *expInstance) Fold(i int, res *Result) ([]any, error) {
 	return x.emit(i)
 }
 
-func (x *expInstance) Summary() (any, error) {
+func (x *expInstance[T]) Summary() (any, error) {
 	for i, res := range x.results {
 		if res == nil {
 			return nil, fmt.Errorf("sdpolicy: summary before point %d folded", i)
 		}
 	}
-	return x.summary()
+	v, err := x.summary()
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // reportedInstance adds report folding for NeedsReports experiments:
 // the per-point report encoding is attached to a clone of the stored
 // result (the streamed pointer may be shared with other consumers),
 // restoring what the result wire form strips.
-type reportedInstance struct {
-	*expInstance
+type reportedInstance[T any] struct {
+	*expInstance[T]
 }
 
-func (x *reportedInstance) FoldReport(i int, report []byte) error {
+func (x *reportedInstance[T]) FoldReport(i int, report []byte) error {
 	if i < 0 || i >= len(x.results) || x.results[i] == nil {
 		return fmt.Errorf("sdpolicy: report for unfolded index %d", i)
 	}
@@ -333,13 +374,13 @@ func (x *reportedInstance) FoldReport(i int, report []byte) error {
 // report (stripped by the result wire form, restored by SetReportJSON).
 func (r *Result) hasReport() bool { return len(r.report.Results) > 0 }
 
-func table1Instance(scale float64, seed uint64) *expInstance {
+func table1Instance(scale float64, seed uint64) *expInstance[[]Table1Row] {
 	names := []string{"wl1", "wl2", "wl3", "wl4", "wl5"}
 	points := make([]Point, len(names))
 	for i, name := range names {
 		points[i] = NewPoint(name, scale, seed, Options{Policy: "static"})
 	}
-	x := &expInstance{points: points, results: make([]*Result, len(points))}
+	x := &expInstance[[]Table1Row]{points: points, results: make([]*Result, len(points))}
 	rows := make([]Table1Row, len(names))
 	x.emit = func(i int) ([]any, error) {
 		w, err := NewWorkload(names[i], scale, seed)
@@ -357,17 +398,31 @@ func table1Instance(scale float64, seed uint64) *expInstance {
 	}
 	// Summary runs only once every position has folded, so each row
 	// was built exactly once, by emit.
-	x.summary = func() (any, error) { return rows, nil }
+	x.summary = func() ([]Table1Row, error) { return rows, nil }
 	return x
 }
 
-func table2Instance(scale float64, seed uint64) *expInstance {
-	x := &expInstance{}
-	x.summary = func() (any, error) { return table2Rows(scale, seed) }
+// table2Instance generates the wl5 workload and reports its
+// application mix. Its point set is empty, so nothing simulates.
+func table2Instance(scale float64, seed uint64) *expInstance[[]Table2Row] {
+	x := &expInstance[[]Table2Row]{}
+	x.summary = func() ([]Table2Row, error) {
+		w, err := NewWorkload("wl5", scale, seed)
+		if err != nil {
+			return nil, err
+		}
+		shares := w.AppShares()
+		order := []string{"PILS", "STREAM", "CoreNeuron", "NEST", "Alya"}
+		rows := make([]Table2Row, 0, len(order))
+		for _, app := range order {
+			rows = append(rows, Table2Row{App: app, SharePct: 100 * shares[app]})
+		}
+		return rows, nil
+	}
 	return x
 }
 
-func sweepInstance(workloads []string, scale float64, seed uint64) *expInstance {
+func sweepInstance(workloads []string, scale float64, seed uint64) *expInstance[[]SweepRow] {
 	variants := MaxSDVariants()
 	stride := 1 + len(variants) // baseline + variants per workload
 	var points []Point
@@ -377,7 +432,7 @@ func sweepInstance(workloads []string, scale float64, seed uint64) *expInstance 
 			points = append(points, NewPoint(name, scale, seed, v.Options))
 		}
 	}
-	x := &expInstance{points: points, results: make([]*Result, len(points))}
+	x := &expInstance[[]SweepRow]{points: points, results: make([]*Result, len(points))}
 	row := func(wi, vi int) SweepRow {
 		base, res := x.results[wi*stride], x.results[wi*stride+1+vi]
 		return SweepRow{
@@ -403,7 +458,7 @@ func sweepInstance(workloads []string, scale float64, seed uint64) *expInstance 
 		}
 		return rows, nil
 	}
-	x.summary = func() (any, error) {
+	x.summary = func() ([]SweepRow, error) {
 		var rows []SweepRow
 		for wi := range workloads {
 			for vi := range variants {
@@ -415,7 +470,7 @@ func sweepInstance(workloads []string, scale float64, seed uint64) *expInstance 
 	return x
 }
 
-func modelsInstance(workloads []string, scale float64, seed uint64) *expInstance {
+func modelsInstance(workloads []string, scale float64, seed uint64) *expInstance[[]ModelRow] {
 	models := []string{"ideal", "worst"}
 	var points []Point
 	for _, name := range workloads {
@@ -424,7 +479,7 @@ func modelsInstance(workloads []string, scale float64, seed uint64) *expInstance
 			points = append(points, NewPoint(name, scale, seed, Options{Policy: "sd", DynamicCutoff: "avg", Model: mdl}))
 		}
 	}
-	x := &expInstance{points: points, results: make([]*Result, len(points))}
+	x := &expInstance[[]ModelRow]{points: points, results: make([]*Result, len(points))}
 	row := func(k int) ModelRow {
 		base, res := x.results[2*k], x.results[2*k+1]
 		return ModelRow{
@@ -442,7 +497,7 @@ func modelsInstance(workloads []string, scale float64, seed uint64) *expInstance
 		}
 		return []any{row(k)}, nil
 	}
-	x.summary = func() (any, error) {
+	x.summary = func() ([]ModelRow, error) {
 		rows := make([]ModelRow, 0, len(points)/2)
 		for k := 0; k < len(points)/2; k++ {
 			rows = append(rows, row(k))
@@ -452,15 +507,15 @@ func modelsInstance(workloads []string, scale float64, seed uint64) *expInstance
 	return x
 }
 
-func bigWorkloadInstance(scale float64, seed uint64) ExperimentInstance {
-	x := &expInstance{
+func bigWorkloadInstance(scale float64, seed uint64) *expInstance[*BigAnalysis] {
+	x := &expInstance[*BigAnalysis]{
 		points: []Point{
 			NewPoint("wl4", scale, seed, Options{Policy: "static"}),
 			NewPoint("wl4", scale, seed, Options{Policy: "sd", MaxSlowdown: 10}),
 		},
 		results: make([]*Result, 2),
 	}
-	x.summary = func() (any, error) {
+	x.summary = func() (*BigAnalysis, error) {
 		static, sd := x.results[0], x.results[1]
 		if !static.hasReport() || !sd.hasReport() {
 			return nil, fmt.Errorf("sdpolicy: big_workload summary needs per-job reports; a result arrived without one")
@@ -475,18 +530,15 @@ func bigWorkloadInstance(scale float64, seed uint64) ExperimentInstance {
 			SDDaily:       sd.Daily(),
 		}, nil
 	}
-	return &reportedInstance{x}
+	return x
 }
 
-func realRunInstance(scale float64, seed uint64) *expInstance {
-	x := &expInstance{
-		points: []Point{
-			NewPoint("wl5", scale, seed, Options{Policy: "static", Model: "app"}),
-			NewPoint("wl5", scale, seed, Options{Policy: "sd", DynamicCutoff: "avg", Model: "app"}),
-		},
-		results: make([]*Result, 2),
-	}
-	x.summary = func() (any, error) {
+// realRunInstance compares a static point against an SD point and
+// reports SD's improvement in percent: Figure 9 on the wl5 application
+// mix, and the real_trace replay on a trace scenario.
+func realRunInstance(staticPt, sdPt Point) *expInstance[*RealRunReport] {
+	x := &expInstance[*RealRunReport]{points: []Point{staticPt, sdPt}, results: make([]*Result, 2)}
+	x.summary = func() (*RealRunReport, error) {
 		static, sd := x.results[0], x.results[1]
 		return &RealRunReport{
 			Static:         static,
@@ -503,7 +555,7 @@ func realRunInstance(scale float64, seed uint64) *expInstance {
 // realTraceInstance replays one registered trace scenario — the
 // "yesterday's cluster at 1.5x load with 30% malleable jobs" campaign
 // — as a static-vs-SD pair of derived points over the trace ref.
-func realTraceInstance(p reducer.Params) (*expInstance, error) {
+func realTraceInstance(p reducer.Params) (*expInstance[*RealRunReport], error) {
 	trace := p.String("trace")
 	if trace == "" {
 		return nil, fmt.Errorf("parameter \"trace\" is required")
@@ -517,36 +569,20 @@ func realTraceInstance(p reducer.Params) (*expInstance, error) {
 	if class := p.String("qos_class"); class != "" {
 		derivs = append(derivs, AssignQoSDerivation(class, p.Float("qos_fraction")))
 	}
-	x := &expInstance{
-		points: []Point{
-			NewDerivedPoint(name, 1, 1, Options{Policy: "static"}, derivs...),
-			NewDerivedPoint(name, 1, 1, Options{Policy: "sd", MaxSlowdown: p.Float("max_slowdown")}, derivs...),
-		},
-		results: make([]*Result, 2),
-	}
-	x.summary = func() (any, error) {
-		static, sd := x.results[0], x.results[1]
-		return &RealRunReport{
-			Static:         static,
-			SD:             sd,
-			MakespanPct:    improvement(float64(static.Makespan), float64(sd.Makespan)),
-			AvgResponsePct: improvement(static.AvgResponse, sd.AvgResponse),
-			AvgSlowdownPct: improvement(static.AvgSlowdown, sd.AvgSlowdown),
-			EnergyPct:      improvement(static.EnergyKWh, sd.EnergyKWh),
-		}, nil
-	}
-	return x, nil
+	return realRunInstance(
+		NewDerivedPoint(name, 1, 1, Options{Policy: "static"}, derivs...),
+		NewDerivedPoint(name, 1, 1, Options{Policy: "sd", MaxSlowdown: p.Float("max_slowdown")}, derivs...)), nil
 }
 
 // ablateInstance folds one design-choice sweep: points[0] is the
 // static baseline, points[1+i] the variant labelled values[i]; every
 // row normalises its variant against the baseline.
-func ablateInstance(param, name string, scale float64, seed uint64, values []string, variant func(i int) Point) *expInstance {
+func ablateInstance(param, name string, scale float64, seed uint64, values []string, variant func(i int) Point) *expInstance[[]AblationRow] {
 	points := []Point{NewPoint(name, scale, seed, Options{Policy: "static"})}
 	for i := range values {
 		points = append(points, variant(i))
 	}
-	x := &expInstance{points: points, results: make([]*Result, len(points))}
+	x := &expInstance[[]AblationRow]{points: points, results: make([]*Result, len(points))}
 	x.emit = func(i int) ([]any, error) {
 		var rows []any
 		if i == 0 {
@@ -560,7 +596,7 @@ func ablateInstance(param, name string, scale float64, seed uint64, values []str
 		}
 		return rows, nil
 	}
-	x.summary = func() (any, error) {
+	x.summary = func() ([]AblationRow, error) {
 		rows := make([]AblationRow, 0, len(values))
 		for i, v := range values {
 			rows = append(rows, ablation(param, v, x.results[i+1], x.results[0]))

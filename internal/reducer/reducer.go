@@ -2,7 +2,7 @@
 // named, parameterised point-set generator plus an incremental reducer
 // that folds per-point results into rows as they stream in and a
 // terminal summary once the set is complete. One registry of
-// descriptors drives both the local experiment helpers (fold a slice
+// descriptors drives both local experiment runs (fold a slice
 // of results in order) and a streaming server (fold journaled result
 // frames and ship rows + summary instead of raw points), so the two
 // can never disagree about what an experiment computes.
@@ -204,7 +204,7 @@ func decodeParam(typ string, data json.RawMessage) (any, error) {
 
 // Instance is one parameterised run of an experiment: a fixed point
 // set plus the fold state accumulating its results. Instances are not
-// safe for concurrent use; every consumer (a local helper, one stream
+// safe for concurrent use; every consumer (a local run, one stream
 // attach) builds its own from the descriptor.
 type Instance[P, R any] interface {
 	// Points returns the campaign point set, fixed for the instance's
@@ -246,6 +246,10 @@ type Descriptor[P, R any] struct {
 	// (see Resolve); it must not assume defaults were applied by anyone
 	// else.
 	New func(Params) (Instance[P, R], error)
+	// DecodeSummary decodes the JSON encoding of a Summary back into
+	// the summary's Go type, so a summary that crossed the wire is the
+	// same value a local fold returns.
+	DecodeSummary func(data []byte) (any, error)
 }
 
 // Instance resolves the given parameters against the descriptor's

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"sdpolicy"
+	"sdpolicy/internal/reducer"
 )
 
 // campaignLine is one NDJSON line of a /v1/campaign stream: a result
@@ -340,7 +341,7 @@ func TestHealthReportsInFlightCampaigns(t *testing.T) {
 // TestCampaignDerivationsMatchGoAPIAblation is the HTTP half of the
 // derivation refactor's acceptance criterion: a /v1/campaign request
 // whose points carry derivation chains must reproduce the Go-API
-// ablation helper's rows exactly — the labelled sweeps need nothing
+// ablation experiment's rows exactly — the labelled sweeps need nothing
 // beyond plain points on the wire.
 func TestCampaignDerivationsMatchGoAPIAblation(t *testing.T) {
 	const workload, scale = "wl5", 0.2
@@ -348,14 +349,15 @@ func TestCampaignDerivationsMatchGoAPIAblation(t *testing.T) {
 	fracs := []float64{0, 0.5}
 
 	goEngine := sdpolicy.NewEngine(2, 32)
-	want, err := goEngine.AblateNodeFeatures(context.Background(), workload, scale, seed, fracs)
+	want, err := sdpolicy.RunExperiment[[]sdpolicy.AblationRow](context.Background(), goEngine,
+		"ablate_node_features", reducer.Params{"workload": workload, "scale": scale, "seed": seed, "fractions": fracs})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The same campaign as plain wire points: the static baseline plus
-	// one derived point per variant, exactly as AblateNodeFeatures
-	// shapes them.
+	// one derived point per variant, exactly as the
+	// ablate_node_features experiment shapes them.
 	points := []sdpolicy.PointSpec{
 		{Workload: workload, Scale: scale, Seed: seed, Options: sdpolicy.Options{Policy: "static"}},
 	}

@@ -555,6 +555,63 @@ func TestDurableClientRidesThroughDisconnect(t *testing.T) {
 	}
 }
 
+// TestDurableClientsShareRetryRules drives both resource clients
+// through one fault script: the first create answers 503, which must
+// rotate to the next base and retry; the second answers a status that
+// would repeat on every retry, which must end the run at once. The
+// caller's bases carry trailing slashes the clients strip from their
+// own copy, leaving the caller's slice as given.
+func TestDurableClientsShareRetryRules(t *testing.T) {
+	ctx := context.Background()
+	points := campaignTestPoints(t)
+	clients := []struct {
+		name, path string
+		run        func(bases []string) error
+	}{
+		{"campaign", "/v1/campaigns", func(bases []string) error {
+			return RunDurableCampaign(ctx, nil, bases, points, false,
+				func(int, *sdpolicy.Result, json.RawMessage) error { return nil })
+		}},
+		{"experiment", "/v1/experiments", func(bases []string) error {
+			_, err := RunRemoteExperiment(ctx, nil, bases, "table2", nil, nil)
+			return err
+		}},
+	}
+	for _, c := range clients {
+		for _, status := range []int{http.StatusBadRequest, http.StatusNotFound,
+			http.StatusMethodNotAllowed, http.StatusUnsupportedMediaType} {
+			var creates atomic.Int64
+			var badPath atomic.Value
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != c.path {
+					badPath.Store(r.URL.Path)
+				}
+				if creates.Add(1) == 1 {
+					writeError(w, http.StatusServiceUnavailable, errStandby)
+					return
+				}
+				writeError(w, status, fmt.Errorf("scripted refusal"))
+			}))
+			bases := []string{srv.URL + "/", srv.URL + "//"}
+			err := c.run(bases)
+			srv.Close()
+			if err == nil || !strings.Contains(err.Error(), "scripted refusal") {
+				t.Fatalf("%s, status %d: err = %v, want the scripted refusal", c.name, status, err)
+			}
+			if n := creates.Load(); n != 2 {
+				t.Fatalf("%s, status %d: %d creates, want 2 (one retry after 503, none after %d)",
+					c.name, status, n, status)
+			}
+			if p := badPath.Load(); p != nil {
+				t.Fatalf("%s: request path %q, want %s", c.name, p, c.path)
+			}
+			if bases[0] != srv.URL+"/" || bases[1] != srv.URL+"//" {
+				t.Fatalf("%s: caller's bases rewritten to %q", c.name, bases)
+			}
+		}
+	}
+}
+
 // TestPeerTableFailoverAdoption: a journal-backed coordinator persists
 // registered workers; a fresh instance sharing the journal directory
 // adopts them on activation.

@@ -14,11 +14,12 @@ import (
 	"sdpolicy"
 )
 
-// This file is the client side of the /v1/campaign wire form — the one
-// place the request shape and stream events are defined for consumers.
-// Two callers share it: the coordinator's per-shard fan-out (which adds
-// worker-fault classification and partial-shard tracking on top) and
-// sdexp -server via RunRemoteCampaign.
+// This file is the client side of the stream wire forms. The
+// request-scoped /v1/campaign form (postCampaign, workerEvent) backs the
+// coordinator's per-shard fan-out, which adds worker-fault
+// classification and partial-shard tracking on top. The resource forms
+// /v1/campaigns and /v1/experiments share one durable loop (runDurable)
+// behind RunDurableCampaign and RunRemoteExperiment.
 
 // postCampaign marshals points in the shared PointSpec wire form and
 // opens an NDJSON /v1/campaign stream against base (no trailing
@@ -81,9 +82,8 @@ type reportFrame struct {
 	Report    json.RawMessage `json:"report"`
 }
 
-// eventKind classifies a stream line; the discrimination rules live
-// here once so the decode loops (RunRemoteCampaign and the
-// coordinator's fan-out) cannot drift apart.
+// eventKind classifies a /v1/campaign stream line for the
+// coordinator's fan-out.
 type eventKind int
 
 const (
@@ -121,62 +121,78 @@ func readError(base string, resp *http.Response) error {
 	return fmt.Errorf("%s: status %d: %s", base, resp.StatusCode, bytes.TrimSpace(msg))
 }
 
-// streamFrame decodes any line of a /v1/campaigns/{id} NDJSON stream.
-// Unlike the alias's workerEvent, every campaign frame carries a
-// monotonic Seq — the reattach cursor — and the terminal error is the
-// structured ErrorDetail, not a bare string.
+// streamFrame decodes any line of a /v1/campaigns/{id} or
+// /v1/experiments/{id} NDJSON stream. Unlike the alias's workerEvent,
+// every resource frame carries a monotonic Seq — the reattach cursor —
+// and the terminal error is the structured ErrorDetail, not a bare
+// string. Campaign streams carry results and reports; experiment
+// streams carry rows and, on the done frame, the summary.
 type streamFrame struct {
 	Seq       uint64           `json:"seq"`
 	Index     *int             `json:"index"`
 	Result    *sdpolicy.Result `json:"result"`
 	ReportFor *int             `json:"report_for"`
 	Report    json.RawMessage  `json:"report"`
+	Row       json.RawMessage  `json:"row"`
+	Summary   json.RawMessage  `json:"summary"`
 	Done      *bool            `json:"done"`
 	Cancelled *bool            `json:"cancelled"`
 	Shutdown  *bool            `json:"shutdown"`
 	Error     *ErrorDetail     `json:"error"`
 }
 
-// durable-campaign client retry tuning: transient failures (connection
-// refused, 503 from a standby, a mid-stream disconnect) rotate to the
-// next base and back off exponentially; any successfully decoded frame
-// resets the clock. The cap bounds a total outage to roughly a minute.
+// durable-client retry tuning: transient failures (connection refused,
+// 503 from a standby, a mid-stream disconnect) rotate to the next base
+// and back off exponentially; any frame carrying a seq resets the
+// clock. The cap bounds a total outage to roughly a minute.
 const (
 	durableBackoffBase = 100 * time.Millisecond
 	durableBackoffMax  = 2 * time.Second
 	durableMaxFailures = 30
 )
 
-// RunDurableCampaign executes points as a /v1/campaigns resource
-// against a set of equivalent server bases (the active coordinator and
-// its failover standbys), calling emit exactly like RunRemoteCampaign:
-// result deliveries in completion order, then — with reports — per-job
-// report deliveries.
+// runDurable creates one resource of the named collection ("campaigns"
+// or "experiments") from body against a set of equivalent server bases
+// (the active coordinator and its failover standbys) and streams it
+// until its done frame, which it returns.
 //
-// Where RunRemoteCampaign aborts on any interruption, this client
-// rides through them: it creates the campaign once (a 409 means the
-// create landed before a previous attempt was cut off — it attaches),
-// then streams frames, and on a disconnect, server shutdown frame, or
-// coordinator failover reattaches — to any base — with ?from=<last
-// seq>, deduplicating by point index so the merged emit sequence is
-// identical to an uninterrupted run. It gives up only on deterministic
-// failures (bad request, the campaign's own terminal error or
-// cancellation) or after durableMaxFailures consecutive transient ones.
-func RunDurableCampaign(ctx context.Context, client *http.Client, bases []string, points []sdpolicy.Point, reports bool, emit func(index int, res *sdpolicy.Result, report json.RawMessage) error) error {
+// The resource ID is client-chosen, so a create retried against
+// another base, or after an ambiguous failure, is idempotent: a 409
+// means an earlier attempt won, which is success. The stream then
+// reattaches — to any base — with ?from=<last seq> on a disconnect,
+// a shutdown frame or a coordinator failover. Every frame that is not
+// terminal goes to onFrame; an onFrame error aborts the run. The run
+// gives up only on a deterministic failure (see statusError, the
+// resource's own error or cancellation) or after durableMaxFailures
+// consecutive transient ones. The caller's bases are not modified.
+func runDurable(ctx context.Context, client *http.Client, bases []string, collection string, body any, onFrame func(base string, f *streamFrame) error) (*streamFrame, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
 	if len(bases) == 0 {
-		return errors.New("no server bases")
+		return nil, errors.New("no server bases")
 	}
+	data, err := json.Marshal(body)
+	if err != nil {
+		return nil, err
+	}
+	trimmed := make([]string, len(bases))
 	for i, b := range bases {
-		bases[i] = strings.TrimRight(b, "/")
+		trimmed[i] = strings.TrimRight(b, "/")
 	}
+	bases = trimmed
+	path := "/v1/" + collection
+	noun := strings.TrimSuffix(collection, "s")
 	id := newCampaignID()
 	cur, failures := 0, 0
-	// transient sleeps out the backoff for one more transient failure,
-	// or gives up once the budget is spent.
-	transient := func(err error) error {
+	// retry returns a fatal error's cause; for a transient one it
+	// rotates to the next base and sleeps out the backoff, or gives up
+	// once the budget is spent.
+	retry := func(err error) error {
+		var fatal *fatalStreamError
+		if errors.As(err, &fatal) {
+			return fatal.err
+		}
 		failures++
 		if failures >= durableMaxFailures {
 			return fmt.Errorf("giving up after %d consecutive failures: %w", failures, err)
@@ -194,192 +210,144 @@ func RunDurableCampaign(ctx context.Context, client *http.Client, bases []string
 		}
 	}
 
-	// Create the resource. The ID is client-chosen so a retry against
-	// another base (or after an ambiguous failure) is idempotent: 409
-	// means some earlier attempt won, which is success.
-	body, err := json.Marshal(struct {
-		Points  []sdpolicy.Point `json:"points"`
-		Reports bool             `json:"reports,omitempty"`
-	}{Points: points, Reports: reports})
-	if err != nil {
-		return err
-	}
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			bases[cur]+"/v1/campaigns", bytes.NewReader(body))
+	create := func() error {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, bases[cur]+path, bytes.NewReader(data))
 		if err != nil {
-			return err
+			return &fatalStreamError{err}
 		}
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set("X-Campaign-ID", id)
 		resp, err := client.Do(req)
-		if err == nil {
-			status := resp.StatusCode
-			var ferr error
-			if status != http.StatusCreated && status != http.StatusConflict {
-				ferr = readError(bases[cur], resp)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if ferr == nil {
-				break
-			}
-			if status == http.StatusBadRequest || status == http.StatusNotFound ||
-				status == http.StatusMethodNotAllowed {
-				// Deterministic: every retry would fail identically.
-				return ferr
-			}
-			err = ferr
+		if err != nil {
+			return err
 		}
-		if terr := transient(err); terr != nil {
-			return terr
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusConflict {
+			return statusError(bases[cur], resp)
+		}
+		io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	for {
+		err := create()
+		if err == nil {
+			break
+		}
+		if err := retry(err); err != nil {
+			return nil, err
 		}
 	}
 
-	// Attach, emitting deduplicated frames; reattach from the cursor on
-	// every transient interruption.
 	var lastSeq uint64
-	seen := make(map[int]bool)
-	seenReport := make(map[int]bool)
+	attach := func() (*streamFrame, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+			fmt.Sprintf("%s%s/%s?from=%d", bases[cur], path, id, lastSeq), nil)
+		if err != nil {
+			return nil, &fatalStreamError{err}
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return nil, statusError(bases[cur], resp)
+		}
+		dec := json.NewDecoder(resp.Body)
+		for {
+			var f streamFrame
+			if err := dec.Decode(&f); err != nil {
+				return nil, fmt.Errorf("%s: stream ended early: %w", bases[cur], err)
+			}
+			if f.Seq > 0 {
+				lastSeq = f.Seq
+				failures = 0
+			}
+			switch {
+			case f.Done != nil && *f.Done:
+				return &f, nil
+			case f.Cancelled != nil && *f.Cancelled:
+				return nil, &fatalStreamError{fmt.Errorf("%s %s was cancelled", noun, id)}
+			case f.Error != nil && f.Seq > 0:
+				return nil, &fatalStreamError{fmt.Errorf("%s %s failed: %s: %s", noun, id, f.Error.Code, f.Error.Message)}
+			case f.Shutdown != nil && *f.Shutdown:
+				return nil, fmt.Errorf("%s shut down mid-stream", bases[cur])
+			}
+			if err := onFrame(bases[cur], &f); err != nil {
+				return nil, &fatalStreamError{err}
+			}
+		}
+	}
 	for {
-		ferr := func() error {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-				fmt.Sprintf("%s/v1/campaigns/%s?from=%d", bases[cur], id, lastSeq), nil)
-			if err != nil {
-				return err
-			}
-			resp, err := client.Do(req)
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				err := readError(bases[cur], resp)
-				if resp.StatusCode == http.StatusBadRequest {
-					return &fatalStreamError{err}
-				}
-				return err
-			}
-			dec := json.NewDecoder(resp.Body)
-			for {
-				var f streamFrame
-				if err := dec.Decode(&f); err != nil {
-					return fmt.Errorf("%s: stream ended early: %w", bases[cur], err)
-				}
-				if f.Seq > 0 {
-					lastSeq = f.Seq
-					failures = 0
-				}
-				switch {
-				case f.Index != nil:
-					if *f.Index < 0 || *f.Index >= len(points) || f.Result == nil {
-						return &fatalStreamError{fmt.Errorf("%s: malformed result frame (index %v)", bases[cur], *f.Index)}
-					}
-					if seen[*f.Index] {
-						continue
-					}
-					seen[*f.Index] = true
-					if err := emit(*f.Index, f.Result, nil); err != nil {
-						return &fatalStreamError{err}
-					}
-				case f.ReportFor != nil:
-					if *f.ReportFor < 0 || *f.ReportFor >= len(points) || len(f.Report) == 0 || seenReport[*f.ReportFor] {
-						continue
-					}
-					seenReport[*f.ReportFor] = true
-					if err := emit(*f.ReportFor, nil, f.Report); err != nil {
-						return &fatalStreamError{err}
-					}
-				case f.Done != nil && *f.Done:
-					return nil
-				case f.Cancelled != nil && *f.Cancelled:
-					return &fatalStreamError{fmt.Errorf("campaign %s was cancelled", id)}
-				case f.Error != nil && f.Seq > 0:
-					return &fatalStreamError{fmt.Errorf("campaign %s failed: %s: %s", id, f.Error.Code, f.Error.Message)}
-				case f.Shutdown != nil && *f.Shutdown:
-					return fmt.Errorf("%s shut down mid-stream", bases[cur])
-				}
-				// Unknown frame kinds are skipped (the cursor already
-				// advanced): a newer server may add informational frames.
-			}
-		}()
-		if ferr == nil {
-			return nil
+		done, err := attach()
+		if err == nil {
+			return done, nil
 		}
-		var fatal *fatalStreamError
-		if errors.As(ferr, &fatal) {
-			return fatal.err
-		}
-		if terr := transient(ferr); terr != nil {
-			return terr
+		if err := retry(err); err != nil {
+			return nil, err
 		}
 	}
 }
 
-// fatalStreamError marks a durable-campaign failure no reattach can
-// fix: the campaign itself ended badly or the server rejected the
-// request deterministically.
+// statusError summarises a non-success response of a resource request,
+// marking it fatal when its status would repeat on every retry and
+// every base: a malformed or unsupported request, or a resource the
+// fleet does not know.
+func statusError(base string, resp *http.Response) error {
+	err := readError(base, resp)
+	switch resp.StatusCode {
+	case http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed,
+		http.StatusUnsupportedMediaType:
+		return &fatalStreamError{err}
+	}
+	return err
+}
+
+// fatalStreamError marks a durable-client failure no retry can fix:
+// the resource itself ended badly or the server rejected the request
+// deterministically.
 type fatalStreamError struct{ err error }
 
 func (e *fatalStreamError) Error() string { return e.err.Error() }
 func (e *fatalStreamError) Unwrap() error { return e.err }
 
-// RunRemoteCampaign executes points on a remote sdserve instance
-// (worker or coordinator) at base URL, calling emit for each stream
-// delivery in completion order: result deliveries carry a non-nil res
-// for points[index], and — when reports is true, negotiating the
-// per-job-report frames — report deliveries follow with a nil res and
-// the report encoding for an index already delivered (feed it to
-// Result.SetReportJSON / Engine.Prime to warm a local cache). Any
-// failure — transport, non-200 status, in-band error or shutdown
-// terminal, emit's own error — aborts the campaign. It backs sdexp
-// -server.
-func RunRemoteCampaign(ctx context.Context, client *http.Client, base string, points []sdpolicy.Point, reports bool, emit func(index int, res *sdpolicy.Result, report json.RawMessage) error) error {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	base = strings.TrimRight(base, "/")
-	resp, err := postCampaign(ctx, client, base, points, reports, "")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return readError(base, resp)
-	}
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var ev workerEvent
-		if err := dec.Decode(&ev); err != nil {
-			return fmt.Errorf("%s: stream ended early: %w", base, err)
+// RunDurableCampaign executes points as a /v1/campaigns resource
+// against a set of equivalent server bases (see runDurable), calling
+// emit for each delivery in completion order: result deliveries carry
+// a non-nil res for points[index], and — when reports is true,
+// negotiating the per-job-report frames — report deliveries follow
+// with a nil res and the report encoding for an index already
+// delivered (feed it to Engine.PrimeProxied to warm a local cache).
+// Frames are deduplicated by point index, so the emit sequence across
+// reattaches is identical to an uninterrupted run's. It backs sdexp
+// -points -server.
+func RunDurableCampaign(ctx context.Context, client *http.Client, bases []string, points []sdpolicy.Point, reports bool, emit func(index int, res *sdpolicy.Result, report json.RawMessage) error) error {
+	seen := make(map[int]bool)
+	seenReport := make(map[int]bool)
+	_, err := runDurable(ctx, client, bases, "campaigns", struct {
+		Points  []sdpolicy.Point `json:"points"`
+		Reports bool             `json:"reports,omitempty"`
+	}{Points: points, Reports: reports}, func(base string, f *streamFrame) error {
+		switch {
+		case f.Index != nil:
+			if *f.Index < 0 || *f.Index >= len(points) || f.Result == nil {
+				return fmt.Errorf("%s: malformed result frame (index %v)", base, *f.Index)
+			}
+			if seen[*f.Index] {
+				return nil
+			}
+			seen[*f.Index] = true
+			return emit(*f.Index, f.Result, nil)
+		case f.ReportFor != nil:
+			if *f.ReportFor < 0 || *f.ReportFor >= len(points) || len(f.Report) == 0 || seenReport[*f.ReportFor] {
+				return nil
+			}
+			seenReport[*f.ReportFor] = true
+			return emit(*f.ReportFor, nil, f.Report)
 		}
-		switch ev.kind() {
-		case evResult:
-			if *ev.Index < 0 || *ev.Index >= len(points) || ev.Result == nil {
-				return fmt.Errorf("%s: malformed result line (index %v)", base, *ev.Index)
-			}
-			if err := emit(*ev.Index, ev.Result, nil); err != nil {
-				return err
-			}
-		case evReport:
-			// Best-effort frames: ignore malformed ones rather than
-			// aborting a campaign whose results are fine.
-			if *ev.ReportFor < 0 || *ev.ReportFor >= len(points) || len(ev.Report) == 0 {
-				continue
-			}
-			if err := emit(*ev.ReportFor, nil, ev.Report); err != nil {
-				return err
-			}
-		case evTrace:
-			// Unrequested trace summary: nothing to merge, skip it.
-		case evDone:
-			return nil
-		case evShutdown:
-			return fmt.Errorf("%s: server shut down mid-campaign", base)
-		case evError:
-			return fmt.Errorf("%s: %s", base, *ev.Error)
-		default:
-			return fmt.Errorf("%s: unrecognised stream line", base)
-		}
-	}
+		// Unknown frame kinds are skipped (the cursor already
+		// advanced): a newer server may add informational frames.
+		return nil
+	})
+	return err
 }

@@ -481,10 +481,10 @@ func TestCoordinatorWarmCacheSpill(t *testing.T) {
 }
 
 // TestRemoteCampaignWarmsLocalCache drives the sdexp -server
-// -cache-dir path through a coordinator: RunRemoteCampaign with report
-// negotiation, Engine.Prime per frame, then a local replay with zero
-// misses — proving the frames relay through the coordinator, not just
-// off a single worker.
+// -cache-dir path through a coordinator: a durable /v1/campaigns
+// resource with report negotiation, Engine.PrimeProxied per report
+// frame, then a local replay with zero misses — proving the frames
+// relay through the coordinator, not just off a single worker.
 func TestRemoteCampaignWarmsLocalCache(t *testing.T) {
 	coord, _ := startCoordinatorCfg(t, CoordinatorConfig{
 		Workers:       startWorkers(t, 2),
@@ -493,7 +493,8 @@ func TestRemoteCampaignWarmsLocalCache(t *testing.T) {
 	points := coordCampaignPoints(t)
 	local := sdpolicy.NewEngine(2, 64)
 	got := make(map[int]*sdpolicy.Result, len(points))
-	err := RunRemoteCampaign(context.Background(), nil, coord.URL, points, true,
+	reports := 0
+	err := RunDurableCampaign(context.Background(), nil, []string{coord.URL}, points, true,
 		func(index int, res *sdpolicy.Result, report json.RawMessage) error {
 			if res != nil {
 				got[index] = res
@@ -503,13 +504,14 @@ func TestRemoteCampaignWarmsLocalCache(t *testing.T) {
 			if prev == nil {
 				t.Fatalf("report frame for undelivered index %d", index)
 			}
+			reports++
 			return local.PrimeProxied(points[index], prev, report)
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(points) {
-		t.Fatalf("%d results, want %d", len(got), len(points))
+	if len(got) != len(points) || reports != len(points) {
+		t.Fatalf("%d results and %d report frames, want %d of each", len(got), reports, len(points))
 	}
 	res, err := local.Run(context.Background(), points)
 	if err != nil {

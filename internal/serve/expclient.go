@@ -1,171 +1,33 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
-	"strings"
-	"time"
 )
 
-// Client side of the /v1/experiments wire form, backing sdexp
-// -experiment -server. It follows the RunDurableCampaign discipline:
-// create once with a client-chosen campaign ID (a 409 means an earlier
-// cut-off attempt already won), then attach with ?from=<last seq> and
-// ride through disconnects, shutdown frames and failovers by rotating
-// across the given bases.
-
-// expFrame decodes any line of a /v1/experiments/{id} NDJSON stream.
-type expFrame struct {
-	Seq       uint64          `json:"seq"`
-	Row       json.RawMessage `json:"row"`
-	Done      *bool           `json:"done"`
-	Summary   json.RawMessage `json:"summary"`
-	Cancelled *bool           `json:"cancelled"`
-	Shutdown  *bool           `json:"shutdown"`
-	Error     *ErrorDetail    `json:"error"`
-}
-
 // RunRemoteExperiment creates the named experiment (params marshals as
-// the request's params object; nil means all defaults) on one of the
-// equivalent server bases and streams its reduced view, calling onRow
-// (when non-nil) for each incremental row in stream order and returning
-// the terminal summary's raw JSON — byte-identical to
-// json.Marshal of the local Engine helper's return value, which is what
-// lets sdexp render remote runs through the same code paths as local
-// ones. Transient interruptions reattach from the row cursor, so rows
-// are delivered exactly once; deterministic failures (unknown
-// experiment, bad params, cancellation, the experiment's own terminal
-// error) abort.
+// the request's params object; nil means all defaults) as a
+// /v1/experiments resource on one of the equivalent server bases (see
+// runDurable) and streams its reduced view, calling onRow (when
+// non-nil) for each incremental row in stream order and returning the
+// terminal summary's raw JSON — byte-identical to json.Marshal of the
+// local Engine.Experiment summary, which is what lets sdexp decode it
+// through the experiment's descriptor and render remote runs through
+// the same code as local ones. The ?from= cursor delivers every row
+// exactly once across reattaches.
 func RunRemoteExperiment(ctx context.Context, client *http.Client, bases []string, experiment string, params any, onRow func(row json.RawMessage)) (json.RawMessage, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	if len(bases) == 0 {
-		return nil, errors.New("no server bases")
-	}
-	for i, b := range bases {
-		bases[i] = strings.TrimRight(b, "/")
-	}
-	id := newCampaignID()
-	cur, failures := 0, 0
-	transient := func(err error) error {
-		failures++
-		if failures >= durableMaxFailures {
-			return fmt.Errorf("giving up after %d consecutive failures: %w", failures, err)
-		}
-		cur = (cur + 1) % len(bases)
-		delay := durableBackoffBase << (failures - 1)
-		if delay > durableBackoffMax || delay <= 0 {
-			delay = durableBackoffMax
-		}
-		select {
-		case <-time.After(delay):
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-
-	body, err := json.Marshal(struct {
+	done, err := runDurable(ctx, client, bases, "experiments", struct {
 		Experiment string `json:"experiment"`
 		Params     any    `json:"params,omitempty"`
-	}{Experiment: experiment, Params: params})
+	}{Experiment: experiment, Params: params}, func(_ string, f *streamFrame) error {
+		if len(f.Row) > 0 && onRow != nil {
+			onRow(f.Row)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			bases[cur]+"/v1/experiments", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Campaign-ID", id)
-		resp, err := client.Do(req)
-		if err == nil {
-			status := resp.StatusCode
-			var ferr error
-			if status != http.StatusCreated && status != http.StatusConflict {
-				ferr = readError(bases[cur], resp)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if ferr == nil {
-				break
-			}
-			if status == http.StatusBadRequest || status == http.StatusNotFound ||
-				status == http.StatusMethodNotAllowed || status == http.StatusUnsupportedMediaType {
-				return nil, ferr
-			}
-			err = ferr
-		}
-		if terr := transient(err); terr != nil {
-			return nil, terr
-		}
-	}
-
-	var lastSeq uint64
-	for {
-		summary, ferr := func() (json.RawMessage, error) {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-				fmt.Sprintf("%s/v1/experiments/%s?from=%d", bases[cur], id, lastSeq), nil)
-			if err != nil {
-				return nil, err
-			}
-			resp, err := client.Do(req)
-			if err != nil {
-				return nil, err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				err := readError(bases[cur], resp)
-				if resp.StatusCode == http.StatusBadRequest {
-					return nil, &fatalStreamError{err}
-				}
-				return nil, err
-			}
-			dec := json.NewDecoder(resp.Body)
-			for {
-				var f expFrame
-				if err := dec.Decode(&f); err != nil {
-					return nil, fmt.Errorf("%s: stream ended early: %w", bases[cur], err)
-				}
-				if f.Seq > 0 {
-					lastSeq = f.Seq
-					failures = 0
-				}
-				switch {
-				case len(f.Row) > 0:
-					// The ?from= cursor already deduplicates rows across
-					// reattaches: the server only emits seqs past it.
-					if onRow != nil {
-						onRow(f.Row)
-					}
-				case f.Done != nil && *f.Done:
-					return f.Summary, nil
-				case f.Cancelled != nil && *f.Cancelled:
-					return nil, &fatalStreamError{fmt.Errorf("experiment %s was cancelled", id)}
-				case f.Error != nil && f.Seq > 0:
-					return nil, &fatalStreamError{fmt.Errorf("experiment %s failed: %s: %s", id, f.Error.Code, f.Error.Message)}
-				case f.Shutdown != nil && *f.Shutdown:
-					return nil, fmt.Errorf("%s shut down mid-stream", bases[cur])
-				}
-			}
-		}()
-		if ferr == nil {
-			return summary, nil
-		}
-		var fatal *fatalStreamError
-		if errors.As(ferr, &fatal) {
-			return nil, fatal.err
-		}
-		if terr := transient(ferr); terr != nil {
-			return nil, terr
-		}
-	}
+	return done.Summary, nil
 }

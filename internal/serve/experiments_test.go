@@ -352,7 +352,7 @@ func TestExperimentCancel(t *testing.T) {
 
 // TestLegacyEndpointConventions covers the migrated legacy endpoints:
 // unified envelope on errors, proper Allow headers on 405, 415 for
-// non-JSON bodies, and the sweep deprecation headers.
+// non-JSON bodies.
 func TestLegacyEndpointConventions(t *testing.T) {
 	srv := testServer(t)
 	t.Run("method not allowed", func(t *testing.T) {
@@ -360,7 +360,6 @@ func TestLegacyEndpointConventions(t *testing.T) {
 			method, path, allow string
 		}{
 			{http.MethodGet, "/v1/simulate", "POST"},
-			{http.MethodGet, "/v1/sweep", "POST"},
 			{http.MethodPost, "/healthz", "GET"},
 			{http.MethodPut, "/v1/experiments", "GET, POST"},
 		}
@@ -389,7 +388,7 @@ func TestLegacyEndpointConventions(t *testing.T) {
 		}
 	})
 	t.Run("unsupported media type", func(t *testing.T) {
-		for _, path := range []string{"/v1/simulate", "/v1/sweep", "/v1/experiments"} {
+		for _, path := range []string{"/v1/simulate", "/v1/experiments"} {
 			resp, err := http.Post(srv.URL+path, "text/plain", strings.NewReader("{}"))
 			if err != nil {
 				t.Fatal(err)
@@ -419,36 +418,6 @@ func TestLegacyEndpointConventions(t *testing.T) {
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d, want 200", resp.StatusCode)
-		}
-	})
-	t.Run("sweep deprecation headers", func(t *testing.T) {
-		resp := postJSON(t, srv.URL+"/v1/sweep", `{"workloads":["wl5"],"scale":0.15,"seed":1}`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		if resp.Header.Get("Deprecation") == "" {
-			t.Fatal("no Deprecation header on /v1/sweep")
-		}
-		link := resp.Header.Get("Link")
-		if !strings.Contains(link, "/v1/experiments") || !strings.Contains(link, "successor-version") {
-			t.Fatalf("Link %q does not name the successor", link)
-		}
-		// Deprecated, but still byte-compatible with the library path.
-		var sr SweepResponse
-		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-			t.Fatal(err)
-		}
-		rows, err := sdpolicy.SweepMaxSD([]string{"wl5"}, 0.15, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(sr.Rows) != len(rows) {
-			t.Fatalf("%d rows, want %d", len(sr.Rows), len(rows))
-		}
-		for i := range rows {
-			if rows[i] != sr.Rows[i] {
-				t.Fatalf("row %d: HTTP %+v != library %+v", i, sr.Rows[i], rows[i])
-			}
 		}
 	})
 }

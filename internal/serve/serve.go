@@ -6,9 +6,6 @@
 // Endpoints:
 //
 //	POST /v1/simulate  one simulation point  -> the full Result
-//	POST /v1/sweep     deprecated alias of the sweep_maxsd experiment:
-//	                   Figures 1-3 campaign -> normalised SweepRows,
-//	                   byte-compatible, with Deprecation + Link headers
 //	GET  /v1/experiments          list the experiment registry with
 //	                              parameter descriptions
 //	POST /v1/experiments          create an experiment resource (body
@@ -149,8 +146,8 @@ type CoordinatorConfig struct {
 // itself health-probed back into rotation, so a restart is absorbed
 // instead of permanent. It also enables the dynamic registration API
 // (/v1/workers/register, /v1/workers/deregister) and starts the
-// background prober, which runs until BeginShutdown. The other
-// endpoints (/v1/simulate, /v1/sweep) keep using the local engine.
+// background prober, which runs until BeginShutdown. /v1/simulate
+// keeps using the local engine.
 // Call before serving requests.
 func (s *Server) EnableCoordinator(cfg CoordinatorConfig) error {
 	coord, err := newCoordinator(cfg, s.engine)
@@ -171,7 +168,6 @@ func (s *Server) EnableCoordinator(cfg CoordinatorConfig) error {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/simulate", instrument("/v1/simulate", s.handleSimulate))
-	mux.HandleFunc("/v1/sweep", instrument("/v1/sweep", s.handleSweep))
 	mux.HandleFunc("/v1/campaign", instrument("/v1/campaign", s.handleCampaign))
 	mux.HandleFunc("/v1/experiments", instrument("/v1/experiments", s.handleExperiments))
 	mux.HandleFunc("/v1/experiments/{id}", instrument("/v1/experiments/{id}", s.handleExperimentByID))
@@ -202,55 +198,6 @@ func (s *Server) BeginShutdown() {
 // the static baseline under the ideal model; MalleableFraction, when
 // present, re-flags that fraction of jobs malleable before simulating.
 type SimulateRequest = sdpolicy.PointSpec
-
-// SweepRequest is the /v1/sweep body: the Figures 1-3 campaign over the
-// given workloads. Scale and Seed default to 1. WorkloadRefs is the
-// unified addressing shape: each ref contributes its workload name,
-// and a ref-level scale/seed is adopted when the request level leaves
-// it defaulted (the sweep is a single campaign, so refs cannot
-// disagree about either). Sweep refs take no derivations.
-type SweepRequest struct {
-	Workloads    []string               `json:"workloads,omitempty"`
-	WorkloadRefs []sdpolicy.WorkloadRef `json:"workload_refs,omitempty"`
-	Scale        float64                `json:"scale"`
-	Seed         uint64                 `json:"seed"`
-}
-
-// resolveSweepWorkloads folds WorkloadRefs into the legacy
-// workloads/scale/seed triple, erroring on shapes the single-campaign
-// sweep cannot express.
-func (req *SweepRequest) resolveSweepWorkloads() error {
-	for i, ref := range req.WorkloadRefs {
-		if err := ref.Validate(); err != nil {
-			return fmt.Errorf("workload_refs[%d]: %w", i, err)
-		}
-		if len(ref.Derivations) != 0 {
-			return fmt.Errorf("workload_refs[%d]: the sweep takes no derivations: %w", i, sdpolicy.ErrBadInput)
-		}
-		if ref.Scale != 0 {
-			if req.Scale != 0 && req.Scale != ref.Scale {
-				return fmt.Errorf("workload_refs[%d]: scale %v conflicts with the sweep scale %v: %w",
-					i, ref.Scale, req.Scale, sdpolicy.ErrBadInput)
-			}
-			req.Scale = ref.Scale
-		}
-		if ref.Seed != 0 {
-			if req.Seed != 0 && req.Seed != ref.Seed {
-				return fmt.Errorf("workload_refs[%d]: seed %d conflicts with the sweep seed %d: %w",
-					i, ref.Seed, req.Seed, sdpolicy.ErrBadInput)
-			}
-			req.Seed = ref.Seed
-		}
-		req.Workloads = append(req.Workloads, ref.WorkloadName())
-	}
-	req.WorkloadRefs = nil
-	return nil
-}
-
-// SweepResponse is the /v1/sweep reply.
-type SweepResponse struct {
-	Rows []sdpolicy.SweepRow `json:"rows"`
-}
 
 // Health is the /healthz reply.
 type Health struct {
@@ -307,36 +254,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	// Frozen as a byte-compatible alias of the sweep_maxsd experiment;
-	// new clients should create the experiment resource instead.
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/experiments>; rel="successor-version"`)
-	var req SweepRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if err := req.resolveSweepWorkloads(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Workloads) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("missing workloads"))
-		return
-	}
-	applyDefaults(&req.Scale, &req.Seed)
-	if !s.acquire(w, r.Context()) {
-		return
-	}
-	defer s.release()
-	rows, err := s.engine.SweepMaxSD(r.Context(), req.Workloads, req.Scale, req.Seed)
-	if err != nil {
-		writeError(w, statusFor(r.Context(), err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, SweepResponse{Rows: rows})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -428,15 +345,6 @@ func statusFor(ctx context.Context, err error) int {
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
-}
-
-func applyDefaults(scale *float64, seed *uint64) {
-	if *scale == 0 {
-		*scale = 1
-	}
-	if *seed == 0 {
-		*seed = 1
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

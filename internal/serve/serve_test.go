@@ -103,37 +103,6 @@ func TestSimulateMalleableFraction(t *testing.T) {
 	}
 }
 
-func TestSweepEndpoint(t *testing.T) {
-	srv := testServer(t)
-	resp := postJSON(t, srv.URL+"/v1/sweep", `{"workloads":["wl5"],"scale":0.15,"seed":1}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var sr SweepResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	want := len(sdpolicy.MaxSDVariants())
-	if len(sr.Rows) != want {
-		t.Fatalf("%d rows, want %d", len(sr.Rows), want)
-	}
-	for _, row := range sr.Rows {
-		if row.Workload != "wl5" || row.AvgSlowdown <= 0 {
-			t.Fatalf("bad row: %+v", row)
-		}
-	}
-	// Cross-check against the library path: must agree exactly.
-	rows, err := sdpolicy.SweepMaxSD([]string{"wl5"}, 0.15, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		if rows[i] != sr.Rows[i] {
-			t.Fatalf("row %d: HTTP %+v != library %+v", i, sr.Rows[i], rows[i])
-		}
-	}
-}
-
 func TestBadRequests(t *testing.T) {
 	srv := testServer(t)
 	cases := []struct {
@@ -148,7 +117,6 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", "/v1/simulate", `{"workload":"wl1","bogus":1}`, http.StatusBadRequest},
 		{"fraction above 1", "/v1/simulate", `{"workload":"wl1","scale":0.1,"malleable_fraction":2}`, http.StatusBadRequest},
 		{"negative fraction", "/v1/simulate", `{"workload":"wl1","scale":0.1,"malleable_fraction":-0.5}`, http.StatusBadRequest},
-		{"missing workloads", "/v1/sweep", `{"scale":0.1}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -164,36 +164,6 @@ func TestSimulateWorkloadRef(t *testing.T) {
 	}
 }
 
-func TestSweepWorkloadRefs(t *testing.T) {
-	srv := testServer(t)
-	read := func(body string) (int, string) {
-		resp := postJSON(t, srv.URL+"/v1/sweep", body)
-		var raw json.RawMessage
-		json.NewDecoder(resp.Body).Decode(&raw)
-		return resp.StatusCode, string(raw)
-	}
-	legacyCode, legacyBody := read(`{"workloads":["wl5"],"scale":0.15,"seed":1}`)
-	refCode, refBody := read(`{"workload_refs":[{"name":"wl5","scale":0.15,"seed":1}]}`)
-	if legacyCode != http.StatusOK || refCode != http.StatusOK {
-		t.Fatalf("status %d / %d", legacyCode, refCode)
-	}
-	if legacyBody != refBody {
-		t.Fatalf("sweep shapes answer differently:\n%s\nvs\n%s", legacyBody, refBody)
-	}
-	// Conflicting per-ref scales cannot collapse into the sweep's single
-	// scale; derivations are not part of the sweep contract.
-	for _, body := range []string{
-		`{"workload_refs":[{"name":"wl1","scale":0.1},{"name":"wl2","scale":0.2}]}`,
-		`{"workload_refs":[{"name":"wl1","scale":0.1}],"scale":0.2}`,
-		`{"workload_refs":[{"name":"wl1","derivations":[{"op":"malleable_fraction","fraction":0.5}]}]}`,
-		`{"workload_refs":[{"name":"wl1","trace":"trace:00"}]}`,
-	} {
-		if code, _ := read(body); code != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", body, code)
-		}
-	}
-}
-
 // TestTraceCampaignLocalVsCoordinator is the acceptance scenario: the
 // registered trace at 1.5x load with 30% malleable jobs, static vs SD,
 // addressed through workload_ref, must produce identical results from

@@ -24,13 +24,15 @@
 // and a parallel run is byte-identical to a sequential one.
 //
 //	engine := sdpolicy.NewEngine(8, 512)
-//	rows, err := engine.SweepMaxSD(ctx, []string{"wl1", "wl2"}, 0.1, 1)
+//	rows, err := sdpolicy.RunExperiment[[]sdpolicy.SweepRow](ctx, engine,
+//		"sweep_maxsd", map[string]any{"workloads": []string{"wl1", "wl2"}, "scale": 0.1})
 //
-// The package-level experiment functions (SweepMaxSD, Table1,
-// CompareRuntimeModels, the ablations, ...) delegate to a process-wide
-// Default engine; the Engine methods additionally accept a
-// context.Context for cancellation and report progress via OnProgress.
-// Cancellation is prompt: the scheduler's event loop checkpoints the
+// Every table, figure and ablation of the paper is one experiment of
+// the registry (Experiments): a named, parameterised point set, the
+// fold reducing its results, and the summary type the fold returns.
+// Engine.Experiment runs one by name; RunExperiment also asserts its
+// summary type. Both accept a context.Context for cancellation, and
+// the engine reports progress via OnProgress. Cancellation is prompt: the scheduler's event loop checkpoints the
 // context (sched.RunContext), so cancelling a campaign aborts even the
 // simulation point currently in flight within milliseconds.
 // Engine.RunStream streams each point's result on a channel as it
@@ -51,8 +53,9 @@
 // result cache to disk so repeated campaigns survive restarts.
 //
 // cmd/sdserve exposes the same engine over HTTP (POST /v1/simulate,
-// POST /v1/sweep, and the streaming POST /v1/campaign), serving
-// concurrent clients from one shared result cache.
+// the durable /v1/campaigns resources, and the /v1/experiments
+// resources that run registry experiments), serving concurrent clients
+// from one shared result cache.
 package sdpolicy
 
 import (

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"sdpolicy/internal/reducer"
 )
 
 func TestNewWorkloadPresets(t *testing.T) {
@@ -227,10 +229,7 @@ func TestEASYBackfillOption(t *testing.T) {
 }
 
 func TestSweepMaxSD(t *testing.T) {
-	rows, err := SweepMaxSD([]string{"wl5"}, 0.15, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := experiment[[]SweepRow](t, "sweep_maxsd", reducer.Params{"workloads": []string{"wl5"}, "scale": 0.15})
 	if len(rows) != len(MaxSDVariants()) {
 		t.Fatalf("rows %d, want %d", len(rows), len(MaxSDVariants()))
 	}
@@ -245,10 +244,7 @@ func TestSweepMaxSD(t *testing.T) {
 }
 
 func TestCompareRuntimeModels(t *testing.T) {
-	rows, err := CompareRuntimeModels([]string{"wl5"}, 0.15, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := experiment[[]ModelRow](t, "runtime_models", reducer.Params{"workloads": []string{"wl5"}, "scale": 0.15})
 	if len(rows) != 2 {
 		t.Fatalf("rows %d, want 2", len(rows))
 	}
@@ -260,10 +256,7 @@ func TestCompareRuntimeModels(t *testing.T) {
 }
 
 func TestRealRunExperiment(t *testing.T) {
-	rep, err := RealRunExperiment(0.2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := experiment[*RealRunReport](t, "real_run", reducer.Params{"scale": 0.2})
 	if rep.AvgSlowdownPct <= 0 {
 		t.Fatalf("real-run slowdown improvement %v, want positive", rep.AvgSlowdownPct)
 	}
@@ -273,10 +266,7 @@ func TestRealRunExperiment(t *testing.T) {
 }
 
 func TestTable1And2(t *testing.T) {
-	rows, err := Table1(0.1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := experiment[[]Table1Row](t, "table1", reducer.Params{"scale": 0.1})
 	if len(rows) != 5 {
 		t.Fatalf("table 1 rows %d", len(rows))
 	}
@@ -285,20 +275,14 @@ func TestTable1And2(t *testing.T) {
 			t.Fatalf("bad row: %+v", r)
 		}
 	}
-	t2, err := Table2(1.0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t2 := experiment[[]Table2Row](t, "table2", reducer.Params{"scale": 1.0})
 	if len(t2) != 5 || t2[0].App != "PILS" {
 		t.Fatalf("table 2: %+v", t2)
 	}
 }
 
 func TestComparePolicies(t *testing.T) {
-	rows, err := ComparePolicies("wl5", 0.15, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := experiment[[]AblationRow](t, "compare_policies", reducer.Params{"workload": "wl5", "scale": 0.15})
 	if len(rows) != 3 {
 		t.Fatalf("rows %d", len(rows))
 	}
@@ -320,24 +304,18 @@ func TestComparePolicies(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	sf, err := AblateSharingFactor("wl5", 0.1, 1, []float64{0.25, 0.5, 0.75})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl5 := reducer.Params{"workload": "wl5", "scale": 0.1}
+	sf := experiment[[]AblationRow](t, "ablate_sharing_factor", wl5)
 	if len(sf) != 3 {
 		t.Fatalf("sf rows %d", len(sf))
 	}
-	mm, err := AblateMaxMates("wl5", 0.1, 1, []int{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mm := experiment[[]AblationRow](t, "ablate_max_mates",
+		reducer.Params{"workload": "wl5", "scale": 0.1, "mates": []int{1, 2, 3}})
 	if len(mm) != 3 {
 		t.Fatalf("mates rows %d", len(mm))
 	}
-	mf, err := AblateMalleableFraction("wl5", 0.1, 1, []float64{0, 0.5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mf := experiment[[]AblationRow](t, "ablate_malleable_fraction",
+		reducer.Params{"workload": "wl5", "scale": 0.1, "fractions": []float64{0, 0.5, 1}})
 	// more malleable jobs must not hurt the normalised slowdown ordering:
 	// frac=0 is exactly static
 	if math.Abs(mf[0].AvgSlowdown-1) > 0.001 {
@@ -347,10 +325,7 @@ func TestAblations(t *testing.T) {
 		t.Fatalf("fully malleable (%v) worse than all-rigid (%v)",
 			mf[2].AvgSlowdown, mf[0].AvgSlowdown)
 	}
-	fn, err := AblateFreeNodeMixing("wl5", 0.1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fn := experiment[[]AblationRow](t, "ablate_free_node_mixing", wl5)
 	if len(fn) != 2 {
 		t.Fatalf("free-node rows %d", len(fn))
 	}

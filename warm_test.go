@@ -107,7 +107,7 @@ func TestTable1MatchesInventoryScan(t *testing.T) {
 	}
 	wantJSON := mustJSON(t, want)
 
-	got, err := engine.Table1(ctx, scale, seed)
+	got, err := RunExperiment[[]Table1Row](ctx, engine, "table1", reducer.Params{"scale": scale, "seed": seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,8 @@ func TestWarmReplayAllocs(t *testing.T) {
 	workloads := []string{"wl1", "wl2", "wl3", "wl5"}
 	table1 := reducer.Params{"scale": scale, "seed": uint64(seed)}
 	sweep := func() {
-		if _, err := engine.SweepMaxSD(ctx, workloads, scale, seed); err != nil {
+		params := reducer.Params{"workloads": workloads, "scale": scale, "seed": seed}
+		if _, err := RunExperiment[[]SweepRow](ctx, engine, "sweep_maxsd", params); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +168,7 @@ func TestWarmReplayAllocs(t *testing.T) {
 		run     func()
 		ceiling float64
 	}{
-		{"SweepMaxSD", sweep, 73},
+		{"RunExperiment(sweep_maxsd)", sweep, 73},
 		{"Experiment(table1)", inventory, 25},
 	} {
 		got := testing.AllocsPerRun(20, c.run)

@@ -99,8 +99,8 @@ func WorkloadNames() []string { return workload.Names() }
 // exactly one of Name (a generator preset) or Trace (a registered
 // trace, with or without the "trace:" prefix), plus the generation
 // parameters and the derivation chain. It is the one shape accepted by
-// /v1/simulate, /v1/sweep and campaign PointSpecs, superseding the
-// loose workload/scale/seed fields.
+// /v1/simulate and campaign PointSpecs, superseding the loose
+// workload/scale/seed fields.
 type WorkloadRef struct {
 	Name        string       `json:"name,omitempty"`
 	Trace       string       `json:"trace,omitempty"`
